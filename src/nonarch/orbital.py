@@ -5,8 +5,19 @@ The integrals are averages of chi(tr(g1 D g2 A)) over independent Haar pairs
 (congruence kind), with D = diag(x_1..x_n) and A = diag(a_1..a_r, 0..).
 Because the trace couples g only through the digit window of depth
 K = max(-ord(a_i x_j)), all kernels work in O_F / pi^K with vectorized
-integer arithmetic; draws are keyed by chunk index so results are
-reproducible and independent of how chunks are scheduled.
+integer arithmetic.
+
+The integrand reads only rows i < r of g1 (and of g) and columns i < r of
+g2, so only those are drawn: the rows of g1 and of g2^t, itself Haar.  The
+first r rows of a Haar matrix in GL(n, O_F) are uniform on the r x n
+matrices of full residue rank.  Row k is drawn from its own stream
+``child(k)`` and redrawn until it is independent mod pi of rows 0..k-1, so
+it never depends on r: a larger r extends the same draws (prefix
+consistency).  Row k is accepted with probability 1 - q^(k-n), so a
+candidate row set passes all r checks at once with probability x, the
+full-rank fraction of the error bounds below.  The exact oracle enumerates
+the same r x n row sets at a finite level.  Draws are keyed by chunk index
+so results are reproducible and independent of how chunks are scheduled.
 
 Error bounds: writing x = prod_{w<r} (1 - q^{w-n}) (the full-rank fraction
 of r x n digit matrices), the comparison of the integral with the kernel
@@ -126,7 +137,7 @@ def _pair_data(field: FieldParams, D, A):
 
 
 # ---------------------------------------------------------------------------
-# batched Haar draws modulo pi^K
+# Haar rows modulo pi^K
 # ---------------------------------------------------------------------------
 
 
@@ -142,56 +153,69 @@ def _pow_mod_vec(base: np.ndarray, e: int, m: int) -> np.ndarray:
 
 
 def invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
-    """Which matrices in the batch are invertible mod p (batched elimination)."""
-    a = (mats % p).astype(np.int64).copy()
-    B, n, _ = a.shape
+    """Which (r, n) matrices of the batch, r <= n, have full row rank mod p
+    (for square ones: are invertible mod p), by batched elimination."""
+    a = np.swapaxes(mats % p, 1, 2).astype(np.int64)  # full column rank of (n, r)
+    B, _, r = a.shape
     alive = np.ones(B, dtype=bool)
     idx = np.arange(B)
-    for k in range(n):
-        col = a[:, k:, k]
-        nz = col != 0
+    for k in range(r):
+        nz = a[:, k:, k] != 0
         alive &= nz.any(axis=1)
+        if k + 1 == r:
+            break
         piv = nz.argmax(axis=1)
         rk = a[idx, k, :].copy()
         rp = a[idx, k + piv, :].copy()
         a[idx, k, :] = rp
         a[idx, k + piv, :] = rk
-        pv = a[:, k, k]
-        inv = _pow_mod_vec(pv, p - 2, p)
-        if k + 1 < n:
-            factor = a[:, k + 1 :, k] * inv[:, None] % p
-            a[:, k + 1 :, k:] = (a[:, k + 1 :, k:] - factor[:, :, None] * a[:, None, k, k:]) % p
+        inv = _pow_mod_vec(a[:, k, k], p - 2, p)
+        factor = a[:, k + 1 :, k] * inv[:, None] % p
+        a[:, k + 1 :, k:] = (a[:, k + 1 :, k:] - factor[:, :, None] * a[:, None, k, k:]) % p
     return alive
 
 
-def _haar_batch_padic(stream: RandomStream, n: int, p: int, K: int, count: int) -> np.ndarray:
-    """(count, n, n) int64, uniform on residue matrices mod p^K that are
-    invertible mod p (= Haar measure pushed to level K)."""
-    m = p**K
-    out = np.empty((count, n, n), dtype=np.int64)
-    got = 0
-    while got < count:
-        batch = max(64, int((count - got) * 1.8) + 8)
-        cand = stream.integers(m, size=(batch, n, n)).astype(np.int64)
-        keep = cand[invertible_mask(cand, p)]
-        take = min(count - got, len(keep))
-        out[got : got + take] = keep[:take]
-        got += take
-    return out
+def _entry_shape(field: FieldParams, K: int) -> tuple[int, tuple]:
+    """An entry of O_F / pi^K as an array: one integer below p^K over Q_p,
+    K digits mod p on a trailing axis over F_p((t)).  Returns the base of
+    the drawn integers and the trailing axes."""
+    if field.family == "padic":
+        return field.p**K, ()
+    return field.p, (K,)
 
 
-def _haar_batch_laurent(stream: RandomStream, n: int, p: int, K: int, count: int) -> np.ndarray:
-    """(count, n, n, K) digit arrays mod p, leading digit plane invertible."""
-    out = np.empty((count, n, n, K), dtype=np.int64)
-    got = 0
-    while got < count:
-        batch = max(64, int((count - got) * 1.8) + 8)
-        cand = stream.integers(p, size=(batch, n, n, K)).astype(np.int64)
-        keep = cand[invertible_mask(cand[..., 0], p)]
-        take = min(count - got, len(keep))
-        out[got : got + take] = keep[:take]
-        got += take
-    return out
+def _full_rank(field: FieldParams, rows: np.ndarray) -> np.ndarray:
+    return invertible_mask(rows if field.family == "padic" else rows[..., 0], field.p)
+
+
+def _haar_rows(stream: RandomStream, field: FieldParams, n: int, r: int, K: int, count: int) -> np.ndarray:
+    """(count, r, n[, K]): the first r rows mod pi^K of ``count`` Haar
+    matrices in GL(n, O_F), uniform on the r x n matrices of full residue
+    rank.  Row k comes from ``stream.child(k)``, redrawn until it is
+    independent mod pi of rows 0..k-1, so it does not depend on r."""
+    base, tail = _entry_shape(field, K)
+    rows = np.empty((count, r, n) + tail, dtype=np.int64)
+    for k in range(r):
+        sub = stream.child(k)
+        todo = np.arange(count)
+        while todo.size:
+            rows[todo, k] = sub.integers(base, size=(todo.size, n) + tail)
+            todo = todo[~_full_rank(field, rows[todo, : k + 1])]
+    return rows
+
+
+def _level_rows(field: FieldParams, n: int, r: int, level: int) -> np.ndarray:
+    """Every r x n matrix of full residue rank mod pi^level, once each: the
+    first r rows of GL(n, O_F / pi^level), each equally often."""
+    base, tail = _entry_shape(field, level)
+    shape = (r, n) + tail
+    width = math.prod(shape)
+    total = base**width
+    if total > _EXACT_ENUM_GUARD:
+        raise TooLarge(f"level-{level} enumeration has {total} matrices")
+    codes = np.arange(total, dtype=np.int64)
+    rows = np.stack([codes // base**t % base for t in range(width)], axis=1).reshape((total,) + shape)
+    return rows[_full_rank(field, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -199,46 +223,34 @@ def _haar_batch_laurent(stream: RandomStream, n: int, p: int, K: int, count: int
 # ---------------------------------------------------------------------------
 
 
-def _phases_two_sided_padic(pairs, K, p, g1, g2):
-    M = p**K
-    s = np.zeros(len(g1), dtype=np.int64)
-    for i, j, m, unit in pairs:
-        c = (unit * p ** (K - m)) % M
-        s = (s + c * (g1[:, i, j] * g2[:, j, i] % M)) % M
-    return np.exp(2j * np.pi * s / M)
-
-
-def _phases_congruence_padic(pairs, K, p, g):
-    M = p**K
-    s = np.zeros(len(g), dtype=np.int64)
-    for i, j, m, unit in pairs:
-        c = (unit * p ** (K - m)) % M
-        s = (s + c * (g[:, i, j] * g[:, i, j] % M)) % M
-    return np.exp(2j * np.pi * s / M)
-
-
-def _phases_two_sided_laurent(pairs, p, g1, g2):
-    d = np.zeros(len(g1), dtype=np.int64)
+def _trace_form(field: FieldParams, pairs, K: int, g1: np.ndarray, g2: np.ndarray):
+    """The integrand as a bilinear form: columns U read from g1, V read from
+    g2 and a modulus M with
+    chi(sum over the pairs of a_i x_j g1[i, j] g2[i, j]) = exp(2 pi i sum_f U_f V_f / M).
+    g2 holds the rows of g2^t for the two-sided kind, those of g again for
+    the congruence kind."""
+    p = field.p
+    U, V = [], []
+    if field.family == "padic":
+        M = p**K
+        for i, j, m, unit in pairs:
+            U.append((unit * p ** (K - m)) % M * g1[:, i, j] % M)
+            V.append(g2[:, i, j])
+        return np.stack(U, axis=1), np.stack(V, axis=1), M
+    # coefficient of t^-1 in unit * t^-m * g1[i, j] * g2[i, j], digit by digit
     for i, j, m, unit in pairs:
         for beta in range(m):
-            for gamma in range(m - beta):
-                alpha = m - 1 - beta - gamma
-                u = unit[alpha]
-                if u:
-                    d = (d + u * g1[:, i, j, beta] * g2[:, j, i, gamma]) % p
-    return np.exp(2j * np.pi * d / p)
+            U.append(g1[:, i, j, beta])
+            V.append(g2[:, i, j, : m - beta] @ np.array(unit[m - beta - 1 :: -1]) % p)
+    return np.stack(U, axis=1), np.stack(V, axis=1), p
 
 
-def _phases_congruence_laurent(pairs, p, g):
-    d = np.zeros(len(g), dtype=np.int64)
-    for i, j, m, unit in pairs:
-        for beta in range(m):
-            for gamma in range(m - beta):
-                alpha = m - 1 - beta - gamma
-                u = unit[alpha]
-                if u:
-                    d = (d + u * g[:, i, j, beta] * g[:, i, j, gamma]) % p
-    return np.exp(2j * np.pi * d / p)
+def _phases(U: np.ndarray, V: np.ndarray, M: int) -> np.ndarray:
+    return np.exp(2j * np.pi * ((U * V % M).sum(axis=1) % M) / M)
+
+
+def _rows_read(pairs) -> int:
+    return 1 + max(i for i, _, _, _ in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +275,7 @@ def mc_orbital_multi(
     n = len(D)
     if kind not in (KIND_TWO_SIDED, KIND_CONGRUENCE):
         raise ValueError(f"unknown kind {kind!r}")
-    work = []  # (index, pairs, K_local)
+    work = []  # (index, pairs)
     K = 1
     accs = []
     for idx, A in enumerate(A_list):
@@ -272,33 +284,20 @@ def mc_orbital_multi(
         pairs, K_local = _pair_data(field, D, A)
         accs.append(_Acc() if pairs else None)
         if pairs:
-            work.append((idx, pairs, K_local))
+            work.append((idx, pairs))
             K = max(K, K_local)
-    p = field.p
     if work:
+        r = max(_rows_read(pairs) for _, pairs in work)
         for c, start in enumerate(range(0, n_samples, chunk_size)):
             cnt = min(chunk_size, n_samples - start)
             sub = rng.child("mc", c)
-            if field.family == "padic":
-                if kind == KIND_TWO_SIDED:
-                    g1 = _haar_batch_padic(sub.child("g1"), n, p, K, cnt)
-                    g2 = _haar_batch_padic(sub.child("g2"), n, p, K, cnt)
-                    for idx, pairs, _ in work:
-                        accs[idx].add(_phases_two_sided_padic(pairs, K, p, g1, g2))
-                else:
-                    g = _haar_batch_padic(sub.child("g"), n, p, K, cnt)
-                    for idx, pairs, _ in work:
-                        accs[idx].add(_phases_congruence_padic(pairs, K, p, g))
+            if kind == KIND_TWO_SIDED:
+                g1 = _haar_rows(sub.child("g1"), field, n, r, K, cnt)
+                g2 = _haar_rows(sub.child("g2"), field, n, r, K, cnt)
             else:
-                if kind == KIND_TWO_SIDED:
-                    g1 = _haar_batch_laurent(sub.child("g1"), n, p, K, cnt)
-                    g2 = _haar_batch_laurent(sub.child("g2"), n, p, K, cnt)
-                    for idx, pairs, _ in work:
-                        accs[idx].add(_phases_two_sided_laurent(pairs, p, g1, g2))
-                else:
-                    g = _haar_batch_laurent(sub.child("g"), n, p, K, cnt)
-                    for idx, pairs, _ in work:
-                        accs[idx].add(_phases_congruence_laurent(pairs, p, g))
+                g1 = g2 = _haar_rows(sub.child("g"), field, n, r, K, cnt)
+            for idx, pairs in work:
+                accs[idx].add(_phases(*_trace_form(field, pairs, K, g1, g2)))
     return [
         acc.finalize(rng.seed) if acc is not None else McEstimate(1 + 0j, 0.0, n_samples, rng.seed)
         for acc in accs
@@ -374,33 +373,13 @@ def error_bound(kind: str, n: int, r: int, q: int) -> ErrorBounds:
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_level_padic(n: int, p: int, level: int) -> np.ndarray:
-    reps = p**level
-    total = reps ** (n * n)
-    if total > _EXACT_ENUM_GUARD:
-        raise TooLarge(f"level-{level} enumeration has {total} matrices")
-    arr = np.arange(total, dtype=np.int64)
-    cols = [(arr // reps**t) % reps for t in range(n * n)]
-    mats = np.stack(cols, axis=1).reshape(total, n, n)
-    return mats[invertible_mask(mats, p)]
-
-
-def _enumerate_level_laurent(n: int, p: int, level: int) -> np.ndarray:
-    total = p ** (level * n * n)
-    if total > _EXACT_ENUM_GUARD:
-        raise TooLarge(f"level-{level} enumeration has {total} matrices")
-    arr = np.arange(total, dtype=np.int64)
-    cols = [(arr // p**t) % p for t in range(level * n * n)]
-    mats = np.stack(cols, axis=1).reshape(total, n, n, level)
-    return mats[invertible_mask(mats[..., 0], p)]
-
-
 def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> complex:
     """Exact value of the orbital integral by averaging the integrand over
-    the invertible residue matrices mod pi^level (pairs of them for the
-    two-sided kind).  Valid once level >= max(-ord(a_i x_j)): perturbing g
-    by pi^level h moves the trace inside O_F, where chi is trivial, so Haar
-    measure may be replaced by the uniform measure on the finite level."""
+    the full-rank r x n residue matrices mod pi^level, the rows it reads
+    (pairs of them for the two-sided kind).  Valid once level >=
+    max(-ord(a_i x_j)): perturbing g by pi^level h moves the trace inside
+    O_F, where chi is trivial, so Haar measure may be replaced by the
+    uniform measure on the finite level."""
     D = [as_element(field, v) for v in D]
     A = [as_element(field, v) for v in A]
     n, r = len(D), len(A)
@@ -411,53 +390,18 @@ def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> c
         return 1 + 0j
     if level < K:
         raise LevelTooLow(f"level {level} < stability level {K}")
-    p = field.p
-    if field.family == "padic":
-        mats = _enumerate_level_padic(n, p, level)
-        E = len(mats)
-        if kind == KIND_CONGRUENCE:
-            return complex(_phases_congruence_padic(pairs, level, p, mats).mean())
-        if E > _EXACT_PAIR_GUARD:
-            raise TooLarge(f"{E}^2 integrand evaluations exceed the pair guard")
-        M = p**level
-        U = np.zeros((E, len(pairs)), dtype=np.int64)
-        V = np.zeros((E, len(pairs)), dtype=np.int64)
-        for t, (i, j, m, unit) in enumerate(pairs):
-            c = (unit * p ** (level - m)) % M
-            U[:, t] = mats[:, i, j] * c % M
-            V[:, t] = mats[:, j, i]
-        acc = 0j
-        step = max(1, (1 << 22) // max(E, 1))
-        for s in range(0, E, step):
-            S = U[s : s + step] @ V.T % M
-            acc += np.exp(2j * np.pi * S / M).sum()
-        return complex(acc / (E * E))
-    mats = _enumerate_level_laurent(n, p, level)
-    E = len(mats)
+    rows = _level_rows(field, n, _rows_read(pairs), level)
+    U, V, M = _trace_form(field, pairs, level, rows, rows)
     if kind == KIND_CONGRUENCE:
-        return complex(_phases_congruence_laurent(pairs, p, mats).mean())
+        return complex(_phases(U, V, M).mean())
+    E = len(rows)
     if E > _EXACT_PAIR_GUARD:
         raise TooLarge(f"{E}^2 integrand evaluations exceed the pair guard")
-    feats = []
-    for t, (i, j, m, unit) in enumerate(pairs):
-        for beta in range(m):
-            feats.append((t, beta))
-    U = np.zeros((E, len(feats)), dtype=np.int64)
-    V = np.zeros((E, len(feats)), dtype=np.int64)
-    for f, (t, beta) in enumerate(feats):
-        i, j, m, unit = pairs[t]
-        U[:, f] = mats[:, i, j, beta]
-        h = np.zeros(E, dtype=np.int64)
-        for gamma in range(m - beta):
-            u = unit[m - 1 - beta - gamma]
-            if u:
-                h = (h + u * mats[:, j, i, gamma]) % p
-        V[:, f] = h
     acc = 0j
-    step = max(1, (1 << 22) // max(E, 1))
+    step = max(1, (1 << 22) // E)
     for s in range(0, E, step):
-        S = U[s : s + step] @ V.T % p
-        acc += np.exp(2j * np.pi * S / p).sum()
+        S = U[s : s + step] @ V.T % M
+        acc += np.exp(2j * np.pi * S / M).sum()
     return complex(acc / (E * E))
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from nonarch.cli import main
 from nonarch.matrices import MatF
 
@@ -194,6 +196,27 @@ def test_converge_subcommand(capsys):
     rows = json.loads(out)
     assert [r["n"] for r in rows] == [2, 4]
     assert all(r["pass"] for r in rows)
+
+
+@pytest.mark.parametrize("spec", ["padic:p=3,prec=12", "laurent:p=3,prec=12"])
+def test_converge_large_n(capsys, spec):
+    code, out, _ = run(
+        capsys,
+        "converge",
+        "--field",
+        spec,
+        "--param",
+        '{"head": [1], "tail": "neginf"}',
+        "--n-list",
+        "32,64",
+        "--samples",
+        "2000",
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["n"] for r in rows] == [32, 64]
+    assert all(r["pass"] for r in rows)
+    assert rows[0]["bound"] > rows[1]["bound"]
 
 
 def test_usage_errors_exit_one(capsys):

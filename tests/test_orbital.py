@@ -9,6 +9,7 @@ import pytest
 from nonarch.characters import CharValue
 from nonarch.errors import DimensionMismatch, LevelTooLow, TooLarge
 from nonarch.orbital import (
+    _haar_rows,
     convergence_experiment,
     error_bound,
     exact_orbital_integral,
@@ -147,6 +148,36 @@ def test_mc_laurent_matches_exact(l3):
     assert abs(est2.mean - exact2) <= 3 * est2.stderr + 1e-12
 
 
+# -- Haar row sampler -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r, classes", [(1, 8), (2, 48)])
+def test_haar_rows_uniform_on_full_rank_residues(q3, l3, r, classes):
+    # n = 2, p = 3, K = 1: the first r rows of GL(2, F_3) are the 8 nonzero
+    # rows (r = 1) or the 48 invertible matrices (r = 2), equally likely
+    N = 1000 * classes
+    for field in (q3, l3):
+        rows = _haar_rows(RandomStream(31).child(field.family, r), field, 2, r, 1, N)
+        res = rows.reshape(N, 2 * r)
+        if r == 1:
+            assert (res != 0).any(axis=1).all()
+        else:
+            assert ((res[:, 0] * res[:, 3] - res[:, 1] * res[:, 2]) % 3 != 0).all()
+        codes = res @ (3 ** np.arange(2 * r))
+        counts = np.bincount(codes, minlength=3 ** (2 * r))[np.unique(codes)]
+        assert len(counts) == classes
+        # five binomial standard deviations around N / classes
+        sd = np.sqrt(N * (1 / classes) * (1 - 1 / classes))
+        assert np.abs(counts - N / classes).max() <= 5 * sd
+
+
+def test_haar_rows_prefix_consistent(q3, l3):
+    for field in (q3, l3):
+        one = _haar_rows(RandomStream(33).child("g"), field, 2, 1, 2, 5000)
+        two = _haar_rows(RandomStream(33).child("g"), field, 2, 2, 2, 5000)
+        assert np.array_equal(one, two[:, :1])
+
+
 # -- exact oracle -----------------------------------------------------------------------
 
 
@@ -176,6 +207,64 @@ def test_exact_permutation_invariance(q3):
     a = exact_orbital_integral(q3, KIND_TWO_SIDED, [1, 0], [1], level=2)
     b = exact_orbital_integral(q3, KIND_TWO_SIDED, [0, 1], [1], level=2)
     assert a == pytest.approx(b, abs=1e-12)
+
+
+def _direct_exact(family, kind, dv, av, level, p=3):
+    """The orbital integral averaged over all of GL(n, O_F / pi^level), n <= 2,
+    enumerated as whole n x n matrices; D = diag(pi^-dv), A = diag(pi^-av)."""
+    n = len(dv)
+    base, entries = (p**level, n * n) if family == "padic" else (p, n * n * level)
+    codes = np.arange(base**entries)
+    g = np.stack([codes // base**t % base for t in range(entries)], axis=1)
+    g = g.reshape((-1, n, n) if family == "padic" else (-1, n, n, level))
+    res = g % p if family == "padic" else g[..., 0]
+    det = res[:, 0, 0] if n == 1 else res[:, 0, 0] * res[:, 1, 1] - res[:, 0, 1] * res[:, 1, 0]
+    g = g[det % p != 0]
+    # tr(g1 D g2 A) = sum a_i x_j g1[i, j] g2[j, i]; for congruence g2 = g^t
+    U, V = [], []
+    for i, a in enumerate(av):
+        for j, d in enumerate(dv):
+            m = a + d
+            if m < 1:
+                continue
+            g2_ji = g[:, j, i] if kind == KIND_TWO_SIDED else g[:, i, j]
+            if family == "padic":
+                U.append(g[:, i, j] * p ** (level - m))
+                V.append(g2_ji)
+            else:  # coefficient of t^-1
+                for beta in range(m):
+                    U.append(g[:, i, j, beta])
+                    V.append(g2_ji[:, m - 1 - beta])
+    U, V = np.stack(U, axis=1), np.stack(V, axis=1)
+    M = p**level if family == "padic" else p
+    if kind == KIND_CONGRUENCE:
+        return complex(np.exp(2j * np.pi * ((U * V).sum(axis=1) % M) / M).mean())
+    total = sum(np.exp(2j * np.pi * (U[s : s + 512] @ V.T % M) / M).sum() for s in range(0, len(U), 512))
+    return complex(total / len(U) ** 2)
+
+
+EXACT_ORACLE_CASES = [
+    (KIND_TWO_SIDED, [1], [1], 2),
+    (KIND_TWO_SIDED, [1, 0], [1], 2),
+    (KIND_TWO_SIDED, [1, 0], [1, 1], 2),
+    (KIND_CONGRUENCE, [1], [1], 2),
+    (KIND_CONGRUENCE, [1, -1], [1], 2),
+    (KIND_CONGRUENCE, [1, 1], [1, 0], 2),
+]
+
+
+@pytest.mark.parametrize("kind, dv, av, level", EXACT_ORACLE_CASES)
+def test_exact_rows_match_whole_matrix_enumeration(q3, l3, kind, dv, av, level):
+    for field in (q3, l3):
+        direct = _direct_exact(field.family, kind, dv, av, level)
+        assert exact_orbital_integral(field, kind, dv, av, level) == pytest.approx(direct, abs=1e-12)
+
+
+def test_exact_reaches_level_three_at_rank_one(q3):
+    # whole 2 x 2 matrices mod 27 exceed the pair guard; the r = 1 rows do not
+    exact = exact_orbital_integral(q3, KIND_TWO_SIDED, [2, 1], [1], level=3)
+    prod = product_formula(q3, KIND_TWO_SIDED, [2, 1], [1]).to_complex(3)
+    assert abs(exact - prod) <= float(error_bound(KIND_TWO_SIDED, 2, 1, 3).factorization)
 
 
 # -- cross-module identities -----------------------------------------------------------
