@@ -397,12 +397,16 @@ def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> c
     E = len(rows)
     if E > _EXACT_PAIR_GUARD:
         raise TooLarge(f"{E}^2 integrand evaluations exceed the pair guard")
-    acc = 0j
-    step = max(1, (1 << 22) // E)
-    for s in range(0, E, step):
+    # a pair sum U_a . V_b mod M takes one of M values: count them over the
+    # distinct rows of U and V, then weight the M roots of unity
+    U, u_count = np.unique(U, axis=0, return_counts=True)
+    V, v_count = np.unique(V, axis=0, return_counts=True)
+    hist = np.zeros(M)
+    step = max(1, (1 << 22) // len(V))
+    for s in range(0, len(U), step):
         S = U[s : s + step] @ V.T % M
-        acc += np.exp(2j * np.pi * S / M).sum()
-    return complex(acc / (E * E))
+        hist += np.bincount(S.ravel(), weights=np.outer(u_count[s : s + step], v_count).ravel(), minlength=M)
+    return complex(hist @ np.exp(2j * np.pi * np.arange(M) / M) / (E * E))
 
 
 # ---------------------------------------------------------------------------
