@@ -4,7 +4,7 @@ Elements carry an exact valuation and a window of known digits; addition
 that cancels the whole window refuses to invent digits.
 """
 
-from nonarch import FieldParams, hensel_sqrt, ord_abs, square_class
+from nonarch import FieldParams, hensel_sqrt, square_class
 
 q3 = FieldParams("padic", 3, 12)
 
@@ -16,7 +16,8 @@ print("1/2 =", q3.from_int(2).inverse().digits, " (2 + 3 + 9 + ... )")
 s = q3.one() + q3.from_int(2)
 print("1 + 2 carries into valuation", s.ord, "with digits", s.digits[:4])
 
-print("|pi^-2| =", ord_abs(q3.uniformizer_pow(-2)))
+pi_m2 = q3.uniformizer_pow(-2)
+print("|pi^-2| =", (pi_m2.ord, pi_m2.abs_q()))
 
 print("\n== square roots by Newton lifting ==")
 seven = q3.from_int(7)

@@ -30,11 +30,7 @@ from .field import (
     FieldElement,
     FieldParams,
     hensel_sqrt,
-    lift_residue,
-    nonsquare_unit,
-    ord_abs,
     parse_field_spec,
-    reduce_element,
     square_class,
     square_class_label,
 )

@@ -36,12 +36,8 @@ def _parse_element(field: FieldParams, text: str) -> FieldElement:
     kv = dict(item.split("=") for item in text.split(","))
     ordv = int(kv.get("ord", 0))
     unit = int(kv.get("unit", 1))
-    digits = []
-    u = unit
-    for _ in range(field.precision):
-        digits.append(u % field.p)
-        u //= field.p
-    return field.element(ordv, digits)
+    # the unit's lowest `precision` base-p digits
+    return field.from_base_p(unit % field.p**field.precision, ordv)
 
 
 def _load_json_arg(text: str):

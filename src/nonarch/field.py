@@ -13,14 +13,25 @@ cancels the entire digit window raises :class:`PrecisionExhausted` carrying a
 certified lower bound on the valuation of the true result; nothing is ever
 silently padded.
 
+Storage and cost: a Q_p unit is an int below p^rel, so each operation is a
+few big-int operations.  An F_p((t)) unit is a tuple of rel digits; products
+go by Kronecker substitution (both tuples packed one digit per slot, the
+narrowest machine word holding precision*(p-1)^2, one big-int product, the
+low rel slots reduced mod p).  :class:`FieldParams` caches ``zero()``,
+``one()``, the powers of p and the residue square roots, filled on first use.
+
 All values are immutable and hashable; operations are pure functions.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from sympy import isprime
 from sympy.ntheory.residue_ntheory import sqrt_mod
@@ -37,6 +48,8 @@ from .residue import ResidueElement, legendre
 ORD_INF = math.inf
 
 _FAMILIES = ("padic", "laurent")
+# array typecodes of the Kronecker slots, narrowest first
+_SLOT_CODES = "BHIQ"
 
 
 def _vp(n: int, p: int) -> int:
@@ -46,6 +59,15 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def _base_p_digits(n: int, p: int, count: int) -> tuple[int, ...]:
+    """The lowest ``count`` base-p digits of n >= 0."""
+    out = []
+    for _ in range(count):
+        n, d = divmod(n, p)
+        out.append(d)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -64,6 +86,8 @@ class FieldParams:
             raise InvalidParam(f"residue characteristic must be prime, got {self.p}")
         if self.precision < 1:
             raise InvalidParam("precision must be >= 1")
+        if self.family == "laurent" and self.precision * (self.p - 1) ** 2 >= 2**64:
+            raise InvalidParam("F_p((t)) needs precision * (p-1)^2 < 2^64 (64-bit Kronecker slots)")
 
     # -- basic facts ------------------------------------------------------
     @property
@@ -92,31 +116,60 @@ class FieldParams:
                 return c
         raise AssertionError("unreachable: F_p (p odd) always has a nonsquare")
 
-    # -- element constructors --------------------------------------------
-    def zero(self) -> "FieldElement":
+    # -- cached constants (filled on first use) ----------------------------
+    @cached_property
+    def _zero(self) -> "FieldElement":
         return FieldElement(self, ORD_INF, None, 0)
 
+    @cached_property
+    def _one(self) -> "FieldElement":
+        unit = 1 if self.family == "padic" else (1,) + (0,) * (self.precision - 1)
+        return FieldElement(self, 0, unit, self.precision)
+
+    @cached_property
+    def _pow_p(self) -> tuple[int, ...]:
+        """(p^0, p^1, ..., p^precision)."""
+        return tuple(self.p**k for k in range(self.precision + 1))
+
+    @cached_property
+    def _slot(self) -> tuple[str, int]:
+        """(array typecode, bytes) of the Kronecker slot for F_p((t))
+        products: a product coefficient sums at most precision terms below
+        (p-1)^2."""
+        bound = self.precision * (self.p - 1) ** 2
+        return next((c, array(c).itemsize) for c in _SLOT_CODES if bound < 1 << (8 * array(c).itemsize))
+
+    @cached_property
+    def _residue_sqrts(self) -> dict[int, int]:
+        return {}  # canonical residue square roots found so far
+
+    # -- element constructors --------------------------------------------
+    def zero(self) -> "FieldElement":
+        return self._zero
+
     def one(self) -> "FieldElement":
-        return self.uniformizer_pow(0)
+        return self._one
 
     def uniformizer_pow(self, k: int) -> "FieldElement":
         """pi^k, exact to the full window."""
-        unit = 1 if self.family == "padic" else (1,) + (0,) * (self.precision - 1)
-        return FieldElement(self, k, unit, self.precision)
+        return FieldElement(self, k, self._one.unit, self.precision)
 
     def from_int(self, n: int) -> "FieldElement":
         """The image of the rational integer n.  Exact in Q_p; reduced mod p
         to a constant in F_p((t))."""
-        if self.family == "padic":
-            if n == 0:
-                return self.zero()
-            v = _vp(n, self.p)
-            unit = (n // self.p**v) % self.p**self.precision
-            return FieldElement(self, v, unit, self.precision)
-        c = n % self.p
-        if c == 0:
-            return self.zero()
-        return FieldElement(self, 0, (c,) + (0,) * (self.precision - 1), self.precision)
+        return self.from_base_p(n if self.family == "padic" else n % self.p)
+
+    def from_base_p(self, n: int, ord: int = 0) -> "FieldElement":
+        """pi^ord * (d_0 + d_1 pi + ...) for the base-p digits d_i of n, taken
+        as the complete expansion: ``element(ord, digits of n)`` for n >= 0.
+        A negative n has the digits of its p-adic expansion."""
+        if n == 0:
+            return self._zero
+        v = _vp(n, self.p)
+        unit = (n // self.p**v) % self._pow_p[self.precision]
+        if self.family == "laurent":
+            unit = _base_p_digits(unit, self.p, self.precision)
+        return FieldElement(self, ord + v, unit, self.precision)
 
     def element(self, ord: int, digits) -> "FieldElement":
         """Element pi^ord * (d_0 + d_1 pi + ...) from an explicit digit list,
@@ -167,10 +220,10 @@ class FieldElement:
     __slots__ = ("params", "ord", "unit", "rel")
 
     def __init__(self, params: FieldParams, ord, unit, rel: int):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "ord", ord)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "rel", rel)
+        _set_params(self, params)
+        _set_ord(self, ord)
+        _set_unit(self, unit)
+        _set_rel(self, rel)
 
     def __setattr__(self, *args):
         raise AttributeError("FieldElement is immutable")
@@ -194,11 +247,7 @@ class FieldElement:
         if self.is_zero() or self.is_vanishing():
             return ()
         if self.params.family == "padic":
-            u, p, out = self.unit, self.params.p, []
-            for _ in range(self.rel):
-                out.append(u % p)
-                u //= p
-            return tuple(out)
+            return _base_p_digits(self.unit, self.params.p, self.rel)
         return self.unit
 
     def leading_digit(self) -> int:
@@ -214,11 +263,11 @@ class FieldElement:
             return self
         rel = new_abs - self.ord
         if self.params.family == "padic":
-            return FieldElement(self.params, self.ord, self.unit % self.params.p**rel, rel)
+            return FieldElement(self.params, self.ord, self.unit % self.params._pow_p[rel], rel)
         return FieldElement(self.params, self.ord, self.unit[:rel], rel)
 
     def _check_same(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement) or other.params != self.params:
+        if not isinstance(other, FieldElement) or (other.params is not self.params and other.params != self.params):
             raise TypeError("operands must share FieldParams")
 
     def __eq__(self, other):
@@ -244,69 +293,58 @@ class FieldElement:
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check_same(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.is_vanishing() or other.is_vanishing():
-            if self.is_vanishing() and other.is_vanishing():
-                return FieldElement(self.params, min(self.ord, other.ord), None, 0)
-            hidden, visible = (self, other) if self.is_vanishing() else (other, self)
+        prm = self.params
+        if self.unit is None or other.unit is None:  # zero or vanishing operand
+            if self.ord == ORD_INF:
+                return other
+            if other.ord == ORD_INF:
+                return self
+            if self.unit is None and other.unit is None:
+                return FieldElement(prm, min(self.ord, other.ord), None, 0)
+            hidden, visible = (self, other) if self.unit is None else (other, self)
             if visible.ord >= hidden.ord:
-                return FieldElement(self.params, hidden.ord, None, 0)
+                return FieldElement(prm, hidden.ord, None, 0)
             return visible._truncate_abs(hidden.ord)
-        p, prm = self.params.p, self.params
-        v = min(self.ord, other.ord)
-        abs_ = min(self.abs_prec, other.abs_prec)
-        w = abs_ - v
+        lo, hi = (self, other) if self.ord <= other.ord else (other, self)
+        v, off = lo.ord, hi.ord - lo.ord
+        w = min(lo.rel, off + hi.rel)  # known digits of the sum above pi^v
+        p = prm.p
         if prm.family == "padic":
-            m = p**w
-            s = (self.unit * p ** (self.ord - v) + other.unit * p ** (other.ord - v)) % m
+            s = (lo.unit + hi.unit * prm._pow_p[off]) % prm._pow_p[w] if off < w else lo.unit
             if s == 0:
-                raise PrecisionExhausted(guaranteed_ord=abs_)
+                raise PrecisionExhausted(guaranteed_ord=v + w)
             t = _vp(s, p)
-            return FieldElement(prm, v + t, s // p**t, w - t)
-        coeffs = [0] * w
-        for src in (self, other):
-            off = src.ord - v
-            for i in range(min(src.rel, w - off)):
-                coeffs[off + i] = (coeffs[off + i] + src.unit[i]) % p
+            return FieldElement(prm, v + t, s // prm._pow_p[t], w - t)
+        coeffs = lo.unit[:off] + tuple([(a + b) % p for a, b in zip(lo.unit[off:w], hi.unit)])
+        if off:
+            return FieldElement(prm, v, coeffs, w)
         lead = next((i for i, c in enumerate(coeffs) if c != 0), None)
         if lead is None:
-            raise PrecisionExhausted(guaranteed_ord=abs_)
-        return FieldElement(prm, v + lead, tuple(coeffs[lead:]), w - lead)
+            raise PrecisionExhausted(guaranteed_ord=v + w)
+        return FieldElement(prm, v + lead, coeffs[lead:], w - lead)
 
     def __neg__(self) -> "FieldElement":
-        if self.is_zero() or self.is_vanishing():
+        if self.unit is None:
             return self
         prm, p = self.params, self.params.p
         if prm.family == "padic":
-            return FieldElement(prm, self.ord, p**self.rel - self.unit, self.rel)
-        return FieldElement(prm, self.ord, tuple((-c) % p for c in self.unit), self.rel)
+            return FieldElement(prm, self.ord, prm._pow_p[self.rel] - self.unit, self.rel)
+        return FieldElement(prm, self.ord, tuple([(-c) % p for c in self.unit]), self.rel)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check_same(other)
-        if self.is_zero() or other.is_zero():
-            return self.params.zero()
-        if self.is_vanishing() or other.is_vanishing():
-            return FieldElement(self.params, self.ord + other.ord, None, 0)
         prm = self.params
+        if self.unit is None or other.unit is None:  # zero or vanishing operand
+            if self.ord == ORD_INF or other.ord == ORD_INF:
+                return prm._zero
+            return FieldElement(prm, self.ord + other.ord, None, 0)
         rel = min(self.rel, other.rel)
         if prm.family == "padic":
-            unit = (self.unit * other.unit) % prm.p**rel
-            return FieldElement(prm, self.ord + other.ord, unit, rel)
-        p = prm.p
-        a, b = self.unit, other.unit
-        out = [0] * rel
-        for i in range(rel):
-            ai = a[i]
-            if ai:
-                for j in range(rel - i):
-                    out[i + j] = (out[i + j] + ai * b[j]) % p
-        return FieldElement(prm, self.ord + other.ord, tuple(out), rel)
+            return FieldElement(prm, self.ord + other.ord, self.unit * other.unit % prm._pow_p[rel], rel)
+        return FieldElement(prm, self.ord + other.ord, _kronecker_mul(self.unit, other.unit, rel, prm), rel)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -315,15 +353,14 @@ class FieldElement:
             raise PrecisionExhausted("cannot invert a value not distinguishable from 0", guaranteed_ord=self.ord)
         prm = self.params
         if prm.family == "padic":
-            unit = pow(self.unit, -1, prm.p**self.rel)
+            unit = pow(self.unit, -1, prm._pow_p[self.rel])
             return FieldElement(prm, -self.ord, unit, self.rel)
-        p, u, rel = prm.p, self.unit, self.rel
+        p, u = prm.p, self.unit
         inv0 = pow(u[0], p - 2, p)
-        out = [inv0] + [0] * (rel - 1)
-        for k in range(1, rel):
-            acc = sum(u[i] * out[k - i] for i in range(1, k + 1)) % p
-            out[k] = (-inv0 * acc) % p
-        return FieldElement(prm, -self.ord, tuple(out), rel)
+        out = [inv0]
+        for k in range(1, self.rel):  # out[k] = -inv0 * sum_{i=1..k} u[i] out[k-i]
+            out.append(-inv0 * sum(map(mul, u[k:0:-1], out)) % p)
+        return FieldElement(prm, -self.ord, tuple(out), self.rel)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -396,25 +433,19 @@ class FieldElement:
         return params.element(int(obj["ord"]), digits)
 
 
-# ---------------------------------------------------------------------------
-# quotient map pi: C_q <-> F_q
-# ---------------------------------------------------------------------------
+_set_params, _set_ord, _set_unit, _set_rel = (getattr(FieldElement, n).__set__ for n in FieldElement.__slots__)
 
 
-def reduce_element(x: FieldElement) -> ResidueElement:
-    """x mod pi*O_F for x in O_F; raises NotIntegral below the integers."""
-    return x.residue()
-
-
-def lift_residue(params: FieldParams, r: ResidueElement | int) -> FieldElement:
-    """Canonical representative in C_q = {0,...,p-1} of a residue class."""
-    value = r.value if isinstance(r, ResidueElement) else int(r) % params.p
-    return params.from_int(value)
-
-
-def ord_abs(x: FieldElement) -> tuple[object, Fraction]:
-    """(ord_F(x), |x|) with |x| = q^(-ord) exact; (inf, 0) for x = 0."""
-    return (x.ord, x.abs_q())
+def _kronecker_mul(a: tuple, b: tuple, rel: int, params: FieldParams) -> tuple:
+    """Low ``rel`` coefficients of the product of two F_p[t] digit windows by
+    Kronecker substitution: each window becomes one integer with a
+    coefficient per (native-endian) slot, one big-int product convolves
+    them, and the slots, wide enough that no coefficient sum carries, are
+    reduced mod p."""
+    (code, width), p, order = params._slot, params.p, sys.byteorder
+    product = int.from_bytes(array(code, a), order) * int.from_bytes(array(code, b), order)
+    slots = memoryview(product.to_bytes(width * (len(a) + len(b)), order)).cast(code)
+    return tuple([c % p for c in slots[:rel]])
 
 
 def _require_resolved(x: FieldElement, what: str):
@@ -427,10 +458,13 @@ def _require_resolved(x: FieldElement, what: str):
 # ---------------------------------------------------------------------------
 
 
-def _canonical_residue_sqrt(a0: int, p: int) -> int:
+def _canonical_residue_sqrt(params: FieldParams, a0: int) -> int:
     """The residue square root whose representative is <= (p-1)/2."""
-    r = sqrt_mod(a0, p)
-    return min(r, p - r)
+    roots = params._residue_sqrts
+    if a0 not in roots:
+        r = sqrt_mod(a0, params.p)
+        roots[a0] = min(r, params.p - r)
+    return roots[a0]
 
 
 def hensel_sqrt(x: FieldElement) -> FieldElement | None:
@@ -455,19 +489,19 @@ def hensel_sqrt(x: FieldElement) -> FieldElement | None:
     rel = x.rel
     if prm.family == "padic":
         u = x.unit
-        root = _canonical_residue_sqrt(a0, p)
+        root = _canonical_residue_sqrt(prm, a0)
         known = 1
         while known < rel:
             known = min(2 * known, rel)
-            m = p**known
+            m = prm._pow_p[known]
             root = (root + (u % m) * pow(root, -1, m)) * pow(2, -1, m) % m
         if root % p > (p - 1) // 2:
-            root = p**rel - root
+            root = prm._pow_p[rel] - root
         return FieldElement(prm, x.ord // 2, root, rel)
     # Laurent: Newton on truncated power series, coefficientwise mod p.
     u = x.unit
     inv2 = pow(2, p - 2, p)
-    root = [_canonical_residue_sqrt(a0, p)] + [0] * (rel - 1)
+    root = [_canonical_residue_sqrt(prm, a0)] + [0] * (rel - 1)
     known = 1
     while known < rel:
         known = min(2 * known, rel)
@@ -506,7 +540,3 @@ def square_class_label(x: FieldElement):
     _require_resolved(x, "square_class_label")
     return (x.ord, legendre(x.leading_digit(), x.params.p) == -1)
 
-
-def nonsquare_unit(params: FieldParams) -> FieldElement:
-    """The fixed nonsquare unit eps (lift of the smallest nonsquare digit)."""
-    return params.eps()

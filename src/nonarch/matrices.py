@@ -36,7 +36,7 @@ class MatF:
         if len(entries) != rows * cols:
             raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows*cols} entries")
         for e in entries:
-            if e.params != params:
+            if e.params is not params and e.params != params:
                 raise DimensionMismatch("all entries must share FieldParams")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "rows", rows)

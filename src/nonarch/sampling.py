@@ -70,19 +70,9 @@ def uniform_integer(params: FieldParams, rng: RandomStream) -> FieldElement:
         else:
             digits = rng.integers(params.p, size=n)
             value = sum(int(d) * params.p**i for i, d in enumerate(digits))
-        if value == 0:
-            return params.zero()
-        return params.element(0, _int_digits(value, params.p, n))
+        return params.from_base_p(value)
     digits = [int(d) for d in rng.integers(params.p, size=n)]
     return params.element(0, digits)
-
-
-def _int_digits(value: int, p: int, n: int) -> list[int]:
-    out = []
-    for _ in range(n):
-        out.append(value % p)
-        value //= p
-    return out
 
 
 def _digit_matrix(params: FieldParams, rng: RandomStream, n: int) -> np.ndarray:
@@ -102,8 +92,7 @@ def haar_gl(rng: RandomStream, params: FieldParams, n: int) -> MatF:
         rest = rng.integers(params.p ** (params.precision - 1), size=(n, n))
         for i in range(n):
             for j in range(n):
-                value = int(t[i, j]) + params.p * int(rest[i, j])
-                entries.append(params.element(0, _int_digits(value, params.p, params.precision)))
+                entries.append(params.from_base_p(int(t[i, j]) + params.p * int(rest[i, j])))
     else:
         rest = rng.integers(params.p, size=(n, n, params.precision - 1))
         for i in range(n):

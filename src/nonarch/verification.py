@@ -129,21 +129,13 @@ def verify_ball_fourier(field: FieldParams) -> Suite:
                     reps = np.arange(p**m, dtype=np.int64)
                     vals = []
                     for z in reps:
-                        x = field.element(l, _digits_of(int(z), p, max(m, 1)))
+                        x = field.from_base_p(int(z), l)
                         vals.append(chi(x * y))
                     avg = complex(np.mean(vals))
                 expected = 1.0 if ord_y >= -l else 0.0
                 worst = max(worst, abs(avg - expected))
     s.check(f"indicator identity on the grid (max gap {worst:.2e})", worst <= EXACT_TOL)
     return s
-
-
-def _digits_of(value: int, p: int, n: int) -> list[int]:
-    out = []
-    for _ in range(n):
-        out.append(value % p)
-        value //= p
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,7 @@ from nonarch.field import (
     FieldElement,
     FieldParams,
     hensel_sqrt,
-    lift_residue,
-    nonsquare_unit,
-    ord_abs,
     parse_field_spec,
-    reduce_element,
     square_class,
     square_class_label,
 )
@@ -61,20 +57,23 @@ def test_inverse_of_two_digit_expansion(q3):
 
 
 def test_ord_abs_examples(q3, q5):
-    assert ord_abs(q3.zero()) == (math.inf, Fraction(0))
-    assert ord_abs(q3.uniformizer_pow(-2)) == (-2, Fraction(9))
-    assert ord_abs(q5.from_int(5)) == (1, Fraction(1, 5))
+    cases = (
+        (q3.zero(), math.inf, Fraction(0)),
+        (q3.uniformizer_pow(-2), -2, Fraction(9)),
+        (q5.from_int(5), 1, Fraction(1, 5)),
+    )
+    for x, ord_, abs_ in cases:
+        assert (x.ord, x.abs_q()) == (ord_, abs_)
 
 
 def test_reduce_and_lift_roundtrip(q5):
-    assert reduce_element(q5.uniformizer_pow(1)).value == 0
+    assert q5.uniformizer_pow(1).residue().value == 0
     x = q5.one() + q5.uniformizer_pow(1) * q5.from_int(3)
-    assert reduce_element(x).value == 1
-    lifted = lift_residue(q5, 2)
-    assert lifted == q5.from_int(2)
-    assert reduce_element(lifted).value == 2
+    assert x.residue().value == 1
+    lifted = q5.from_int(2)
+    assert lifted.residue().value == 2
     with pytest.raises(NotIntegral):
-        reduce_element(q5.uniformizer_pow(-1))
+        q5.uniformizer_pow(-1).residue()
 
 
 def test_division_by_zero(q3):
@@ -175,10 +174,10 @@ def test_hensel_roundtrip_and_residue_criterion(family):
 
 
 def test_nonsquare_unit_choices():
-    assert nonsquare_unit(FieldParams("padic", 3, 8)) == FieldParams("padic", 3, 8).from_int(2)
-    assert nonsquare_unit(FieldParams("padic", 5, 8)).leading_digit() == 2
-    assert nonsquare_unit(FieldParams("padic", 7, 8)).leading_digit() == 3
-    assert legendre(nonsquare_unit(FieldParams("padic", 11, 8)).leading_digit(), 11) == -1
+    assert FieldParams("padic", 3, 8).eps() == FieldParams("padic", 3, 8).from_int(2)
+    assert FieldParams("padic", 5, 8).eps().leading_digit() == 2
+    assert FieldParams("padic", 7, 8).eps().leading_digit() == 3
+    assert legendre(FieldParams("padic", 11, 8).eps().leading_digit(), 11) == -1
 
 
 def test_square_class_examples(q3):
@@ -225,3 +224,62 @@ def test_vanishing_algebra(q3):
     assert not v.agrees(q3.one())
     y = v + q3.from_int(5)
     assert y.digits == q3.from_int(5).digits[: y.rel]
+
+
+# -- shared params, immutability and cached constants ----------------------------
+
+
+def test_operands_over_equal_params_combine():
+    f, g = parse_field_spec("laurent:p=5,prec=9"), parse_field_spec("laurent:p=5,prec=9")
+    assert f is not g and f == g
+    x, y = f.from_base_p(1234), g.from_base_p(98, ord=-1)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
+        assert op(x, y) == op(x, f.from_base_p(98, ord=-1))
+    assert x.agrees(g.from_base_p(1234))
+    from nonarch.matrices import MatF
+
+    assert MatF.from_rows(f, [[x, y]]).entries == (x, y)
+
+
+def test_operands_over_different_params_raise():
+    x = FieldParams("padic", 3, 12).one()
+    for other in (FieldParams("padic", 3, 11).one(), FieldParams("laurent", 3, 12).one(), 1):
+        for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a - b, lambda a, b: a.agrees(b)):
+            with pytest.raises(TypeError):
+                op(x, other)
+
+
+def test_elements_are_immutable(q3):
+    x = q3.from_int(7)
+    for attr, value in (("ord", 1), ("unit", 2), ("rel", 3), ("params", q3), ("extra", 0)):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, value)
+    assert (x.ord, x.unit, x.rel) == (0, 7, 12)
+
+
+@pytest.mark.parametrize("family", ["padic", "laurent"])
+def test_cached_constants_equal_fresh_values(family):
+    f = FieldParams(family, 5, 7)
+    assert f.zero() is f.zero() and f.one() is f.one()
+    fresh_zero = FieldElement(f, math.inf, None, 0)
+    fresh_one = f.element(0, [1])
+    assert f.zero() == fresh_zero and hash(f.zero()) == hash(fresh_zero)
+    assert f.one() == fresh_one and hash(f.one()) == hash(fresh_one)
+    assert f.one() == f.uniformizer_pow(0) == f.from_int(1)
+
+
+@pytest.mark.parametrize("family", ["padic", "laurent"])
+def test_from_base_p_is_the_complete_digit_expansion(family):
+    f = FieldParams(family, 3, 4)
+    for n in range(3**6):
+        digits = [n // 3**i % 3 for i in range(6)]
+        assert f.from_base_p(n, ord=-2) == f.element(-2, digits)
+    assert f.from_base_p(-1) == f.element(0, [2] * 4)
+
+
+def test_laurent_product_slots_hold_every_coefficient_sum():
+    with pytest.raises(InvalidParam):
+        FieldParams("laurent", 4294967311, 2)  # 2 * (p-1)^2 >= 2^64
+    f = FieldParams("laurent", 4294967291, 1)  # the widest 64-bit slot
+    x = f.element(0, [f.p - 1])
+    assert (x * x).digits == (1,)
