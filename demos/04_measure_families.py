@@ -8,8 +8,8 @@ from nonarch import (
     FieldParams,
     OmegaParam,
     canonicalize_omega,
+    convolve,
     distinguishing_argument,
-    oplus,
 )
 
 q3 = FieldParams("padic", 3, 12)
@@ -29,7 +29,7 @@ print("\n== the semigroup operation (measure convolution) ==")
 a = DeltaParam((6, 2, 2), -3)
 b = DeltaParam((4, 3, 0, -1), None)
 print(f"{a.to_json()} (+) {b.to_json()}")
-print("  =", oplus(a, b).to_json())
+print("  =", convolve(a, b).to_json())
 
 print("\n== canonicalization: eps-pairs migrate, absorbed levels drop ==")
 print(canonicalize_omega(None, (), (1, 1)).to_json())

@@ -7,7 +7,6 @@ from .characters import (
     CharValue,
     charvalue_product,
     chi,
-    compute_s_chi,
     square_kernel_sign,
     theta_bruteforce,
     theta_closed,
@@ -55,11 +54,8 @@ from .params import (
     DeltaParam,
     OmegaParam,
     canonicalize_omega,
-    char_mu,
-    char_nu,
     convolve,
     distinguishing_argument,
-    oplus,
     truncate_rule,
     validate,
 )

@@ -247,8 +247,3 @@ def theta_bruteforce(x: FieldElement, kind: str = KIND_SQUARE) -> complex:
                         coeff += row[i] * Z[:, j] * u[r]
         acc += np.exp(2j * np.pi * (coeff % p) / p).sum()
     return complex(acc / len(Z) ** 2)
-
-
-def compute_s_chi(params: FieldParams) -> int:
-    """Spec-surface alias for the character-dependent sign."""
-    return square_kernel_sign(params)

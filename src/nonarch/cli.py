@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suites",
         nargs="*",
         default=[],
-        help=f"any of: {', '.join(verification.SUITE_ORDER)}, multiplicativity, all (default all)",
+        help=f"any of: {', '.join(verification.SUITE_ORDER)}, all (default all)",
     )
     p.add_argument("--trials", type=int, default=1000, help="decomposition trial count")
 

@@ -107,9 +107,12 @@ def as_element(field: FieldParams, v) -> FieldElement:
     return field.uniformizer_pow(-int(v))
 
 
-def _check_window(p: int, K: int):
-    # products of two residues mod p^K must stay inside int64
-    if p ** (2 * K) >= 1 << 62:
+def _check_window(field: FieldParams, K: int):
+    # the kernels multiply two entries below ``base`` and add up at most
+    # prod(tail) such products (one digit convolution over F_p((t))); the
+    # sum must stay inside int64
+    base, tail = _entry_shape(field, K)
+    if math.prod(tail) * base**2 >= 1 << 62:
         raise TooLarge(f"digit window p^{K} too deep for 64-bit kernels")
 
 
@@ -132,7 +135,7 @@ def _pair_data(field: FieldParams, D, A):
                 unit = tuple(prod.digits[:m])
             pairs.append((i, j, m, unit))
             K = max(K, m)
-    _check_window(field.p, K)
+    _check_window(field, K)
     return pairs, K
 
 
@@ -253,6 +256,25 @@ def _rows_read(pairs) -> int:
     return 1 + max(i for i, _, _, _ in pairs)
 
 
+def _mc_estimates(
+    field: FieldParams, pair_lists, K: int, n_samples: int, chunk_size: int, rng: RandomStream, draw_rows
+) -> list[McEstimate]:
+    """Average the integrand of each pair list over ``n_samples`` row draws,
+    chunk by chunk; ``draw_rows(c, count)`` returns the (g1, g2) of chunk c.
+    An empty pair list has the constant integrand 1."""
+    accs = [_Acc() if pairs else None for pairs in pair_lists]
+    if any(pair_lists):
+        for c, start in enumerate(range(0, n_samples, chunk_size)):
+            g1, g2 = draw_rows(c, min(chunk_size, n_samples - start))
+            for acc, pairs in zip(accs, pair_lists):
+                if pairs:
+                    acc.add(_phases(*_trace_form(field, pairs, K, g1, g2)))
+    return [
+        acc.finalize(rng.seed) if acc is not None else McEstimate(1 + 0j, 0.0, n_samples, rng.seed)
+        for acc in accs
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo integral
 # ---------------------------------------------------------------------------
@@ -275,33 +297,24 @@ def mc_orbital_multi(
     n = len(D)
     if kind not in (KIND_TWO_SIDED, KIND_CONGRUENCE):
         raise ValueError(f"unknown kind {kind!r}")
-    work = []  # (index, pairs)
+    pair_lists = []
     K = 1
-    accs = []
-    for idx, A in enumerate(A_list):
+    for A in A_list:
         if len(A) > n:
             raise DimensionMismatch(f"rank r={len(A)} exceeds n={n}")
         pairs, K_local = _pair_data(field, D, A)
-        accs.append(_Acc() if pairs else None)
-        if pairs:
-            work.append((idx, pairs))
-            K = max(K, K_local)
-    if work:
-        r = max(_rows_read(pairs) for _, pairs in work)
-        for c, start in enumerate(range(0, n_samples, chunk_size)):
-            cnt = min(chunk_size, n_samples - start)
-            sub = rng.child("mc", c)
-            if kind == KIND_TWO_SIDED:
-                g1 = _haar_rows(sub.child("g1"), field, n, r, K, cnt)
-                g2 = _haar_rows(sub.child("g2"), field, n, r, K, cnt)
-            else:
-                g1 = g2 = _haar_rows(sub.child("g"), field, n, r, K, cnt)
-            for idx, pairs in work:
-                accs[idx].add(_phases(*_trace_form(field, pairs, K, g1, g2)))
-    return [
-        acc.finalize(rng.seed) if acc is not None else McEstimate(1 + 0j, 0.0, n_samples, rng.seed)
-        for acc in accs
-    ]
+        pair_lists.append(pairs)
+        K = max(K, K_local)
+    r = max((_rows_read(pairs) for pairs in pair_lists if pairs), default=0)
+
+    def draw_rows(c: int, count: int):
+        sub = rng.child("mc", c)
+        if kind == KIND_TWO_SIDED:
+            return tuple(_haar_rows(sub.child(g), field, n, r, K, count) for g in ("g1", "g2"))
+        g = _haar_rows(sub.child("g"), field, n, r, K, count)
+        return g, g
+
+    return _mc_estimates(field, pair_lists, K, n_samples, chunk_size, rng, draw_rows)
 
 
 def mc_orbital_integral(
@@ -439,16 +452,18 @@ class BoundReport:
         }
 
 
-def verify_bound(field: FieldParams, kind: str, D, A, n_samples: int, rng: RandomStream) -> BoundReport:
-    """|MC - kernel product| <= factorization bound + 3 * stderr."""
-    D = [as_element(field, v) for v in D]
-    A = [as_element(field, v) for v in A]
-    est = mc_orbital_integral(field, kind, D, A, n_samples, rng)
+def compare_bound(field: FieldParams, kind: str, D, A, est: McEstimate) -> BoundReport:
+    """|estimate - kernel product| <= factorization bound + 3 * stderr."""
     cv = product_formula(field, kind, D, A)
     bounds = error_bound(kind, len(D), len(A), field.q)
     gap = abs(est.mean - cv.to_complex(field.q))
     passed = gap <= float(bounds.factorization) + 3 * est.stderr
     return BoundReport(kind, len(D), len(A), est, cv, bounds.factorization, gap, passed)
+
+
+def verify_bound(field: FieldParams, kind: str, D, A, n_samples: int, rng: RandomStream) -> BoundReport:
+    """The Monte Carlo integral at (D, A) against :func:`compare_bound`."""
+    return compare_bound(field, kind, D, A, mc_orbital_integral(field, kind, D, A, n_samples, rng))
 
 
 @dataclass(frozen=True)
@@ -463,24 +478,30 @@ class MultiplicativityReport:
     passed: bool
 
 
+def compare_multiplicativity(
+    field: FieldParams, kind: str, n: int, joint: McEstimate, rank_one: list[McEstimate]
+) -> MultiplicativityReport:
+    """|joint estimate - product of the rank-one estimates| <= multiplicativity
+    bound plus three combined standard errors."""
+    prod = 1 + 0j
+    se_total = joint.stderr
+    for one in rank_one:
+        prod *= one.mean
+        se_total += one.stderr
+    bounds = error_bound(kind, n, len(rank_one), field.q)
+    gap = abs(joint.mean - prod)
+    passed = gap <= float(bounds.multiplicativity) + 3 * se_total
+    return MultiplicativityReport(kind, n, len(rank_one), joint, prod, bounds.multiplicativity, gap, passed)
+
+
 def verify_multiplicativity(
     field: FieldParams, kind: str, D, A, n_samples: int, rng: RandomStream
 ) -> MultiplicativityReport:
-    """|joint MC - product of rank-one MCs| <= multiplicativity bound plus
-    three combined standard errors."""
-    D = [as_element(field, v) for v in D]
-    A = [as_element(field, v) for v in A]
+    """Monte Carlo joint and rank-one integrals against
+    :func:`compare_multiplicativity`."""
     joint = mc_orbital_integral(field, kind, D, A, n_samples, rng.child("joint"))
-    prod = 1 + 0j
-    se_total = joint.stderr
-    for i, a in enumerate(A):
-        one = mc_orbital_integral(field, kind, D, [a], n_samples, rng.child("rank1", i))
-        prod *= one.mean
-        se_total += one.stderr
-    bounds = error_bound(kind, len(D), len(A), field.q)
-    gap = abs(joint.mean - prod)
-    passed = gap <= float(bounds.multiplicativity) + 3 * se_total
-    return MultiplicativityReport(kind, len(D), len(A), joint, prod, bounds.multiplicativity, gap, passed)
+    rank_one = [mc_orbital_integral(field, kind, D, [a], n_samples, rng.child("rank1", i)) for i, a in enumerate(A)]
+    return compare_multiplicativity(field, kind, len(D), joint, rank_one)
 
 
 # ---------------------------------------------------------------------------
@@ -521,41 +542,35 @@ def _chi_trace(A: MatF, M: MatF) -> complex:
     return chi(t)
 
 
-# -- batched corner sampling (same measures, windowed integer arithmetic) ----
+# -- batched corner sampling (same measures, the orbital trace-form kernel) ---
 
 
-def _corner_batch_padic(field, param, n, count, window, scale, stream):
-    p = field.p
-    M = p**window
-    out = np.zeros((count, n, n), dtype=np.int64)
+def _corner_rows(field: FieldParams, param, n: int, count: int, window: int, stream: RandomStream):
+    """Rows g1, g2 of shape (count, r, n[, window]), drawn mod pi^window, with
+    the corner diagonal c_jj = sum_i c_i g1[:, i, j] g2[:, i, j] for the
+    coefficients c of :func:`generator_diagonal`.  Row t holds X_t and Y_t of
+    the rank-one term pi^-k_t X_t Y_t^t (congruence family: X_t X_t^t, then
+    the eps-twisted Y_t Y_t^t); a last row holds the diagonal of the Haar
+    tail Z (resp. H) against the constant 1."""
+    base, tail = _entry_shape(field, window)
+
+    def draw(*path, shape=(n,)):
+        return stream.child(*path).integers(base, size=(count,) + shape + tail)
+
     if isinstance(param, DeltaParam):
-        for t, k in enumerate(param.head):
-            g = stream.child("x", t)
-            X = g.integers(M, size=(count, n)).astype(np.int64)
-            Y = stream.child("y", t).integers(M, size=(count, n)).astype(np.int64)
-            c = pow(p, scale - k, M)
-            out = (out + c * (X[:, :, None] * Y[:, None, :] % M)) % M
-        if param.tail is not None:
-            Z = stream.child("z").integers(M, size=(count, n, n)).astype(np.int64)
-            out = (out + pow(p, scale - param.tail, M) * Z) % M
-        return out
-    eps = field.eps().unit % M
-    for t, k in enumerate(param.kk):
-        X = stream.child("x", t).integers(M, size=(count, n)).astype(np.int64)
-        c = pow(p, scale - k, M)
-        out = (out + c * (X[:, :, None] * X[:, None, :] % M)) % M
-    for t, k in enumerate(param.kkp):
-        Y = stream.child("y", t).integers(M, size=(count, n)).astype(np.int64)
-        c = eps * pow(p, scale - k, M) % M
-        out = (out + c * (Y[:, :, None] * Y[:, None, :] % M)) % M
-    if param.k is not None:
-        H = stream.child("h").integers(M, size=(count, n, n)).astype(np.int64)
-        iu = np.triu_indices(n)
-        Hs = np.zeros_like(H)
-        Hs[:, iu[0], iu[1]] = H[:, iu[0], iu[1]]
-        Hs[:, iu[1], iu[0]] = H[:, iu[0], iu[1]]
-        out = (out + pow(p, scale - param.k, M) * Hs) % M
-    return out
+        g1 = [draw("x", t) for t in range(len(param.head))]
+        g2 = [draw("y", t) for t in range(len(param.head))]
+        haar = param.tail, "z"
+    else:
+        g1 = g2 = [draw("x", t) for t in range(len(param.kk))] + [draw("y", t) for t in range(len(param.kkp))]
+        haar = param.k, "h"
+    if haar[0] is not None:
+        diag = np.arange(n)
+        g1 = g1 + [draw(haar[1], shape=(n, n))[:, diag, diag]]
+        # the entry 1: one integer over Q_p, the digits (1, 0, ..) over F_p((t))
+        one = np.eye(1, math.prod(tail), dtype=np.int64).reshape(tail)
+        g2 = g2 + [np.broadcast_to(one, g1[-1].shape)]
+    return np.stack(g1, axis=1), np.stack(g2, axis=1)
 
 
 def measure_charfun_batch(
@@ -571,40 +586,24 @@ def measure_charfun_batch(
     arguments.  ``probes`` is a list of lists of FieldElements (one diagonal
     argument per probe, entry i multiplying the (i, i) corner coefficient).
 
-    The sampled corner is represented by its digit window scaled by
-    pi^scale, wide enough for the deepest probe; the evaluation of chi is
-    exact.  Only the padic family is batched; callers needing the Laurent
-    family use the exact path.
+    A diagonal probe reads only the corner's diagonal, a sum of products of
+    the sampled vectors, so chi(sum_j a_j c_jj) is the bilinear trace form of
+    the orbital kernels (see :func:`_corner_rows`), evaluated exactly on both
+    field families.  Entries are drawn mod pi^window, deep enough for the
+    deepest probe against the support bound of the parameter.
     """
-    if field.family != "padic":
-        raise ValueError("batched corner sampling supports the padic family; use sample_corner for laurent")
-    scale = param.support_bound()
     probes = [[as_element(field, a) for a in diag] for diag in probes]
-    depth = 1
-    for diag in probes:
-        for a in diag:
-            if not a.is_zero():
-                depth = max(depth, -a.ord + scale)
-    window = depth
-    p = field.p
-    _check_window(p, window)
-    accs = [_Acc() for _ in probes]
-    for c, start in enumerate(range(0, n_samples, chunk_size)):
-        cnt = min(chunk_size, n_samples - start)
-        corners = _corner_batch_padic(field, param, n, cnt, window, scale, rng.child("corner", c))
-        for pi_idx, diag in enumerate(probes):
-            phase = np.zeros(cnt, dtype=float)
-            for i, a in enumerate(diag):
-                if a.is_zero():
-                    continue
-                m = -a.ord + scale
-                if m <= 0:
-                    continue
-                mod = p**m
-                unit = a.unit % mod
-                phase += 2 * np.pi * (unit * (corners[:, i, i] % mod) % mod) / mod
-            accs[pi_idx].add(np.exp(1j * phase))
-    return [a.finalize(rng.seed) for a in accs]
+    scale = param.support_bound()
+    window = max([1] + [scale - a.ord for diag in probes for a in diag if not a.is_zero()])
+    _check_window(field, window)
+    head = param.head if isinstance(param, DeltaParam) else param.kk + param.kkp
+    coefficients = generator_diagonal(field, param, len(head) + 1)
+    pair_lists = [_pair_data(field, diag, coefficients)[0] for diag in probes]
+
+    def draw_rows(c: int, count: int):
+        return _corner_rows(field, param, n, count, window, rng.child("corner", c))
+
+    return _mc_estimates(field, pair_lists, window, n_samples, chunk_size, rng, draw_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -141,16 +141,6 @@ class OmegaParam:
         return cls(None if k == "neginf" else int(k), tuple(obj.get("kk", ())), tuple(obj.get("kkp", ())))
 
 
-def char_mu(p: DeltaParam, ells: Sequence[int]) -> list[CharValue]:
-    """Characteristic function of the two-sided family at pi^-ell e_11."""
-    return p.char(ells)
-
-
-def char_nu(p: OmegaParam, xs: Sequence[FieldElement]) -> list[CharValue]:
-    """Characteristic function of the congruence family at x e_11."""
-    return p.char(xs)
-
-
 def param_from_json(obj: dict):
     """Dispatch on the wire schema: Delta payloads carry "head", Omega "kk"."""
     if "head" in obj or "tail" in obj:
@@ -233,11 +223,6 @@ def convolve(a, b):
             k = max(a.k, b.k)
         return canonicalize_omega(k, a.kk + b.kk, a.kkp + b.kkp)
     raise InvalidParam("convolve needs two parameters of the same kind")
-
-
-def oplus(a, b):
-    """Alias for :func:`convolve` (the semigroup operation)."""
-    return convolve(a, b)
 
 
 def canonicalize_omega(k: int | None, kk_raw: Sequence[int], kkp_raw: Sequence[int]) -> OmegaParam:

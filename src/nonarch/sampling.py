@@ -59,18 +59,24 @@ class RandomStream:
 # ---------------------------------------------------------------------------
 
 
+def _uniform_below(params: FieldParams, rng: RandomStream, k: int, size=None):
+    """Uniform integers below p^k: one draw while p^k is within the
+    generator's int64 range, else k base-p digits (least significant first)
+    combined into exact Python integers."""
+    p = params.p
+    if p**k <= 2**63:
+        return rng.integers(p**k, size=size)
+    digits = rng.integers(p, size=(() if size is None else size) + (k,))
+    return digits.astype(object) @ np.array([p**i for i in range(k)], dtype=object)
+
+
 def uniform_integer(params: FieldParams, rng: RandomStream) -> FieldElement:
     """Haar-uniform element of O_F to the stored precision (all digits
     i.i.d. uniform).  The q^-precision event of an all-zero window is
     returned as the exact zero."""
     n = params.precision
     if params.family == "padic":
-        if params.p**n < 2**62:
-            value = int(rng.integers(params.p**n))
-        else:
-            digits = rng.integers(params.p, size=n)
-            value = sum(int(d) * params.p**i for i, d in enumerate(digits))
-        return params.from_base_p(value)
+        return params.from_base_p(int(_uniform_below(params, rng, n)))
     digits = [int(d) for d in rng.integers(params.p, size=n)]
     return params.element(0, digits)
 
@@ -89,7 +95,7 @@ def haar_gl(rng: RandomStream, params: FieldParams, n: int) -> MatF:
             break
     entries = []
     if params.family == "padic":
-        rest = rng.integers(params.p ** (params.precision - 1), size=(n, n))
+        rest = _uniform_below(params, rng, params.precision - 1, (n, n))
         for i in range(n):
             for j in range(n):
                 entries.append(params.from_base_p(int(t[i, j]) + params.p * int(rest[i, j])))
@@ -100,17 +106,6 @@ def haar_gl(rng: RandomStream, params: FieldParams, n: int) -> MatF:
                 digits = [int(t[i, j])] + [int(d) for d in rest[i, j]]
                 entries.append(params.element(0, digits))
     return MatF(params, n, n, entries)
-
-
-def gl_acceptance_trial(rng: RandomStream, params: FieldParams, n: int, attempts: int) -> int:
-    """Number of uniform digit matrices (out of ``attempts``) that are
-    invertible mod pi; the acceptance count of the Haar rejection sampler."""
-    ok = 0
-    mats = rng.integers(params.p, size=(attempts, n, n))
-    for m in mats:
-        if _det_mod([list(map(int, row)) for row in m], params.p) != 0:
-            ok += 1
-    return ok
 
 
 # ---------------------------------------------------------------------------

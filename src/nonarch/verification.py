@@ -252,34 +252,22 @@ def verify_bounds(field: FieldParams, rng: RandomStream, n_samples: int = 100_00
                 )
                 rank_one = {1: ests[3], 2: ests[4]}
                 for av, est in zip(a_sets, ests[:3]):
-                    cv = orbital.product_formula(field, kind, list(dvals), list(av))
-                    bounds = orbital.error_bound(kind, n, len(av), q)
-                    gap = abs(est.mean - cv.to_complex(q))
-                    ok = gap <= float(bounds.factorization) + 3 * est.stderr
-                    row = orbital.BoundReport(
-                        kind, n, len(av), est, cv, bounds.factorization, gap, ok
-                    ).to_json(q)
+                    rep = orbital.compare_bound(field, kind, list(dvals), list(av), est)
                     s.rows.append(
                         {
-                            "label": f"{kind} n={n} D={dvals} A={av}: gap {gap:.2e} <= "
-                            f"{float(bounds.factorization):.2e}+3se",
-                            "pass": ok,
+                            "label": f"{kind} n={n} D={dvals} A={av}: gap {rep.observed_gap:.2e} <= "
+                            f"{float(rep.bound):.2e}+3se",
+                            "pass": rep.passed,
                             "detail": "",
-                            "report": row,
+                            "report": rep.to_json(q),
                         }
                     )
                     if len(av) >= 2:
-                        prod = 1 + 0j
-                        se = est.stderr
-                        for a in av:
-                            prod *= rank_one[a].mean
-                            se += rank_one[a].stderr
-                        mgap = abs(est.mean - prod)
-                        ok = mgap <= float(bounds.multiplicativity) + 3 * se
+                        mult = orbital.compare_multiplicativity(field, kind, n, est, [rank_one[a] for a in av])
                         s.check(
-                            f"{kind} n={n} D={dvals} A={av}: uam gap {mgap:.2e} <= "
-                            f"{float(bounds.multiplicativity):.2e}+3se",
-                            ok,
+                            f"{kind} n={n} D={dvals} A={av}: uam gap {mult.observed_gap:.2e} <= "
+                            f"{float(mult.bound):.2e}+3se",
+                            mult.passed,
                         )
     return s
 
@@ -327,8 +315,6 @@ def verify_exact_oracle(field: FieldParams, rng: RandomStream, n_samples: int = 
 @_timed
 def verify_measure_charfun(field: FieldParams, rng: RandomStream, n_samples: int = 100_000, n: int = 6) -> Suite:
     s = Suite("measure-charfun")
-    if field.family != "padic":
-        return _verify_measure_charfun_exact(s, field, rng, min(n_samples, 4000), min(n, 3))
     tol = 3 / math.sqrt(n_samples)
     q = field.q
 
@@ -371,32 +357,6 @@ def verify_measure_charfun(field: FieldParams, rng: RandomStream, n_samples: int
         gap = abs(joint.mean - m1.mean * m2.mean)
         budget = 3 * (joint.stderr + m1.stderr + m2.stderr)
         s.check(f"{label} multiplicativity: gap {gap:.2e} <= {budget:.2e}", gap <= budget)
-    return s
-
-
-def _verify_measure_charfun_exact(s: Suite, field: FieldParams, rng: RandomStream, n_samples: int, n: int) -> Suite:
-    """Exact-path fallback (non-batched families): fewer samples, same checks."""
-    q = field.q
-    tol = 3 / math.sqrt(n_samples)
-    par = DeltaParam((1,), None)
-    samples = [sampling.sample_mu_corner(field, par, n, rng.child("mu", i)) for i in range(n_samples)]
-    worst = 0.0
-    for ell in range(-1, 3):
-        A = MatF.diagonal(field, [field.uniformizer_pow(-ell)] + [field.zero()] * (n - 1))
-        est = orbital.empirical_charfun(samples, A)
-        closed = par.char_single(ell).to_complex(q)
-        worst = max(worst, abs((est.mean - closed).real), abs((est.mean - closed).imag))
-    s.check(f"two-sided family (exact path): worst gap {worst:.2e} <= {tol:.2e}", worst <= tol)
-    om = OmegaParam(None, (0,), ())
-    nsamples = [sampling.sample_nu_corner(field, om, n, rng.child("nu", i)) for i in range(n_samples)]
-    worst = 0.0
-    for ell in range(-1, 2):
-        x = field.uniformizer_pow(-ell)
-        A = MatF.diagonal(field, [x] + [field.zero()] * (n - 1))
-        est = orbital.empirical_charfun(nsamples, A)
-        closed = om.char_single(x).to_complex(q)
-        worst = max(worst, abs((est.mean - closed).real), abs((est.mean - closed).imag))
-    s.check(f"congruence family (exact path): worst gap {worst:.2e} <= {tol:.2e}", worst <= tol)
     return s
 
 
@@ -545,9 +505,6 @@ SUITE_BUILDERS = {
     "bounds": lambda field, rng, n_samples, trials: [
         verify_bounds(field, rng.child("bounds"), n_samples=n_samples),
         verify_exact_oracle(field, rng.child("oracle"), n_samples=n_samples),
-    ],
-    "multiplicativity": lambda field, rng, n_samples, trials: [
-        verify_bounds(field, rng.child("bounds"), n_samples=n_samples, ns=(4, 6)),
     ],
     "charfun": lambda field, rng, n_samples, trials: [
         verify_measure_charfun(field, rng.child("charfun"), n_samples=n_samples)

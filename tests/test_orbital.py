@@ -8,6 +8,7 @@ import pytest
 
 from nonarch.characters import CharValue
 from nonarch.errors import DimensionMismatch, LevelTooLow, TooLarge
+from nonarch.field import FieldParams
 from nonarch.orbital import (
     _haar_rows,
     convergence_experiment,
@@ -146,6 +147,18 @@ def test_mc_laurent_matches_exact(l3):
     exact2 = exact_orbital_integral(l3, KIND_TWO_SIDED, [1, 0], [0, None], level=1)
     est2 = mc_orbital_integral(l3, KIND_TWO_SIDED, [1, 0], [0, None], 20_000, RandomStream(14))
     assert abs(est2.mean - exact2) <= 3 * est2.stderr + 1e-12
+
+
+def test_mc_window_guard_per_family():
+    # depth 13 at p = 7: residues mod 7^13 overflow int64 products, but the
+    # F_p((t)) kernel only multiplies digits below 7
+    with pytest.raises(TooLarge):
+        mc_orbital_integral(FieldParams("padic", 7, 30), KIND_TWO_SIDED, [12, 0], [1], 1000, RandomStream(1))
+    field = FieldParams("laurent", 7, 30)
+    est = mc_orbital_integral(field, KIND_TWO_SIDED, [12, 0], [1], 1000, RandomStream(1))
+    closed = product_formula(field, KIND_TWO_SIDED, [12, 0], [1]).to_complex(field.q)
+    bound = float(error_bound(KIND_TWO_SIDED, 2, 1, field.q).factorization)
+    assert abs(est.mean - closed) <= bound + 3 * est.stderr
 
 
 # -- Haar row sampler -------------------------------------------------------------------

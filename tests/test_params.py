@@ -11,7 +11,6 @@ from nonarch.params import (
     char_nu_raw,
     convolve,
     distinguishing_argument,
-    oplus,
     param_from_json,
     probe_grid,
     separate_omega,
@@ -99,16 +98,14 @@ def test_char_nu_squared_factor(q3):
 
 
 def test_char_nu_multi_argument_product(q3):
-    from nonarch.params import char_mu, char_nu
-
     om = OmegaParam(-1, (1,), (0,))
     xs = [q3.one(), q3.uniformizer_pow(-1), q3.eps()]
-    values = char_nu(om, xs)
-    assert values == om.char(xs)
+    values = om.char(xs)
+    assert values == [om.char_single(x) for x in xs]
     assert len(values) == 3
     assert all(isinstance(v, CharValue) for v in values)
     d = DeltaParam((1,), None)
-    assert char_mu(d, [0, 1]) == d.char([0, 1])
+    assert d.char([0, 1]) == [d.char_single(0), d.char_single(1)]
 
 
 # -- semigroup ---------------------------------------------------------------------
@@ -117,7 +114,7 @@ def test_char_nu_multi_argument_product(q3):
 def test_oplus_worked_example():
     a = DeltaParam((6, 2, 2), -3)
     b = DeltaParam((4, 3, 0, -1), None)
-    assert oplus(a, b) == DeltaParam((6, 4, 3, 2, 2, 0, -1), -3)
+    assert convolve(a, b) == DeltaParam((6, 4, 3, 2, 2, 0, -1), -3)
 
 
 def test_oplus_identity_and_homomorphism():

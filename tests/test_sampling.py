@@ -8,14 +8,13 @@ import pytest
 from nonarch.field import FieldParams
 from nonarch.characters import chi
 from nonarch.matrices import MatF, singular_numbers, sym_diagonalize
-from nonarch.orbital import empirical_charfun, measure_charfun_batch
+from nonarch.orbital import empirical_charfun, invertible_mask, measure_charfun_batch
 from nonarch.params import DeltaParam, OmegaParam
 from nonarch.residue import counting
 from nonarch.sampling import (
     KIND_CONGRUENCE,
     KIND_TWO_SIDED,
     RandomStream,
-    gl_acceptance_trial,
     haar_gl,
     orbital_push,
     sample_corner,
@@ -83,6 +82,11 @@ def test_haar_outputs_are_gl(q3):
         assert haar_gl(rng.child(i), q3, 4).is_gl()
 
 
+def test_haar_deep_padic_precision():
+    # p^(precision - 1) = 5^29 exceeds the int64 range of one draw
+    assert haar_gl(RandomStream(4).child(0), FieldParams("padic", 5, 30), 3).is_gl()
+
+
 def test_haar_unit_residue_uniform(q3):
     rng = RandomStream(13)
     count = 10_000
@@ -98,7 +102,9 @@ def test_rejection_acceptance_rate_matches_volume():
     field = FieldParams("padic", 2, 8)
     expected = float(counting(2, 1, 2)[2])  # 3/8
     attempts = 100_000
-    ok = gl_acceptance_trial(RandomStream(17).child("acc"), field, 2, attempts)
+    # the digit matrices the Haar samplers draw, tested as they test them
+    mats = RandomStream(17).child("acc").integers(field.p, size=(attempts, 2, 2))
+    ok = int(invertible_mask(mats, field.p).sum())
     sigma = math.sqrt(expected * (1 - expected) / attempts)
     assert abs(ok / attempts - expected) <= 3 * sigma
 
@@ -154,27 +160,60 @@ def test_nu_corner_single_factor_charfun(q3):
     assert abs(est.mean - closed) <= 3 / math.sqrt(count)
 
 
-def test_batch_sampler_negative_head_entries(q3):
+def test_batch_sampler_negative_head_entries(q3, l3):
     # entries pi^-k with k < 0 live inside pi O_F; the batch window handles
     # the nonnegative scale correctly
     par = DeltaParam((-1,), None)
-    probes = [[q3.uniformizer_pow(-ell)] for ell in (0, 2)]
-    est0, est2 = measure_charfun_batch(q3, par, 2, 30_000, probes, RandomStream(53))
-    assert abs(est0.mean - 1.0) <= 1e-12  # all mass in pi O_F
-    closed = par.char_single(2).to_complex(3)
-    assert abs(est2.mean - closed) <= 3 / math.sqrt(30_000)
+    for field in (q3, l3):
+        probes = [[field.uniformizer_pow(-ell)] for ell in (0, 2)]
+        est0, est2 = measure_charfun_batch(field, par, 2, 30_000, probes, RandomStream(53))
+        assert abs(est0.mean - 1.0) <= 1e-12  # all mass in pi O_F
+        closed = par.char_single(2).to_complex(3)
+        assert abs(est2.mean - closed) <= 3 / math.sqrt(30_000)
 
 
-def test_diagonal_entries_factorize(q3):
+def test_diagonal_entries_factorize(q3, l3):
     # joint empirical charfun of (M11, M22) splits into the marginals
     par = DeltaParam((0,), None)
-    probes = [
-        [q3.uniformizer_pow(-1), q3.uniformizer_pow(-1)],
-        [q3.uniformizer_pow(-1)],
-        [q3.zero(), q3.uniformizer_pow(-1)],
-    ]
-    joint, m1, m2 = measure_charfun_batch(q3, par, 2, 40_000, probes, RandomStream(37))
-    assert abs(joint.mean - m1.mean * m2.mean) <= 3 * (joint.stderr + m1.stderr + m2.stderr)
+    for field in (q3, l3):
+        probes = [
+            [field.uniformizer_pow(-1), field.uniformizer_pow(-1)],
+            [field.uniformizer_pow(-1)],
+            [field.zero(), field.uniformizer_pow(-1)],
+        ]
+        joint, m1, m2 = measure_charfun_batch(field, par, 2, 40_000, probes, RandomStream(37))
+        assert abs(joint.mean - m1.mean * m2.mean) <= 3 * (joint.stderr + m1.stderr + m2.stderr)
+
+
+def test_batch_sampler_padic_draws_pinned(q3):
+    # estimates of the x, y, z, h corner streams over Q_3, recorded at
+    # RandomStream(61): a change to the padic draws fails here
+    eps = q3.eps()
+    cases = (
+        (
+            DeltaParam((2, 1), -1),
+            [[q3.uniformizer_pow(-1)], [q3.one(), q3.uniformizer_pow(-2)], [q3.zero(), q3.uniformizer_pow(1)]],
+            [
+                -0.0028267931967972107 - 0.004469980304058839j,
+                -0.01988629369236954 - 0.010327806397890767j,
+                0.326 + 0.0005773502691897043j,
+            ],
+        ),
+        (
+            OmegaParam(-1, (1,), (0,)),
+            [[q3.uniformizer_pow(-1)], [eps, q3.uniformizer_pow(-2)], [q3.zero(), eps.shift(-1)]],
+            [
+                0.01070634073057866 - 0.18646357589543075j,
+                -0.027898700405968882 - 0.0013912030037900086j,
+                -0.028813751742529856 + 0.21163325507869027j,
+            ],
+        ),
+    )
+    for par, probes, pinned in cases:
+        ests = measure_charfun_batch(q3, par, 3, 3000, probes, RandomStream(61), chunk_size=1024)
+        assert [e.n_samples for e in ests] == [3000] * 3
+        for est, value in zip(ests, pinned):
+            assert abs(est.mean - value) <= 1e-12
 
 
 def test_corner_invariant_under_push(q3):
