@@ -5,19 +5,22 @@ The integrals are averages of chi(tr(g1 D g2 A)) over independent Haar pairs
 (congruence kind), with D = diag(x_1..x_n) and A = diag(a_1..a_r, 0..).
 Because the trace couples g only through the digit window of depth
 K = max(-ord(a_i x_j)), all kernels work in O_F / pi^K with vectorized
-integer arithmetic.
+integer arithmetic: one weight per cell (i, j) read, built once, and two
+contractions, paired (g1 and g2 cells of one draw, all arguments at once)
+and bilinear (the U/V split that the exact oracle histograms).
 
 The integrand reads only rows i < r of g1 (and of g) and columns i < r of
 g2, so only those are drawn: the rows of g1 and of g2^t, itself Haar.  The
 first r rows of a Haar matrix in GL(n, O_F) are uniform on the r x n
 matrices of full residue rank.  Row k is drawn from its own stream
-``child(k)`` and redrawn until it is independent mod pi of rows 0..k-1, so
-it never depends on r: a larger r extends the same draws (prefix
-consistency).  Row k is accepted with probability 1 - q^(k-n), so a
-candidate row set passes all r checks at once with probability x, the
-full-rank fraction of the error bounds below.  The exact oracle enumerates
-the same r x n row sets at a finite level.  Draws are keyed by chunk index
-so results are reproducible and independent of how chunks are scheduled.
+``child(k)`` and redrawn until it is independent mod pi of rows 0..k-1 (an
+echelon basis mod p of those rows reduces it to nonzero), so it never
+depends on r: a larger r extends the same draws (prefix consistency).  Row
+k is accepted with probability 1 - q^(k-n), so a candidate row set passes
+all r checks at once with probability x, the full-rank fraction of the
+error bounds below.  The exact oracle enumerates the same r x n row sets
+at a finite level.  Draws are keyed by chunk index so results are
+reproducible and independent of how chunks are scheduled.
 
 Error bounds: writing x = prod_{w<r} (1 - q^{w-n}) (the full-rank fraction
 of r x n digit matrices), the comparison of the integral with the kernel
@@ -108,9 +111,9 @@ def as_element(field: FieldParams, v) -> FieldElement:
 
 
 def _check_window(field: FieldParams, K: int):
-    # the kernels multiply two entries below ``base`` and add up at most
-    # prod(tail) such products (one digit convolution over F_p((t))); the
-    # sum must stay inside int64
+    # the widest int64 sum of the phase kernels is one cell product: M^2
+    # over Q_p, K (p-1)^2 for a digit convolution over F_p((t)); the Monte
+    # Carlo contraction reduces it mod M before summing over cells
     base, tail = _entry_shape(field, K)
     if math.prod(tail) * base**2 >= 1 << 62:
         raise TooLarge(f"digit window p^{K} too deep for 64-bit kernels")
@@ -157,7 +160,8 @@ def _pow_mod_vec(base: np.ndarray, e: int, m: int) -> np.ndarray:
 
 def invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
     """Which (r, n) matrices of the batch, r <= n, have full row rank mod p
-    (for square ones: are invertible mod p), by batched elimination."""
+    (for square ones: are invertible mod p), by batched elimination.  The
+    level enumerator filters with it; the tests check the sampler against it."""
     a = np.swapaxes(mats % p, 1, 2).astype(np.int64)  # full column rank of (n, r)
     B, _, r = a.shape
     alive = np.ones(B, dtype=bool)
@@ -187,24 +191,40 @@ def _entry_shape(field: FieldParams, K: int) -> tuple[int, tuple]:
     return field.p, (K,)
 
 
-def _full_rank(field: FieldParams, rows: np.ndarray) -> np.ndarray:
-    return invertible_mask(rows if field.family == "padic" else rows[..., 0], field.p)
-
-
 def _haar_rows(stream: RandomStream, field: FieldParams, n: int, r: int, K: int, count: int) -> np.ndarray:
     """(count, r, n[, K]): the first r rows mod pi^K of ``count`` Haar
     matrices in GL(n, O_F), uniform on the r x n matrices of full residue
     rank.  Row k comes from ``stream.child(k)``, redrawn until it is
-    independent mod pi of rows 0..k-1, so it does not depend on r."""
+    independent mod pi of rows 0..k-1 (nonzero once reduced by their
+    echelon basis mod p), so it does not depend on r."""
+    p = field.p
     base, tail = _entry_shape(field, K)
-    rows = np.empty((count, r, n) + tail, dtype=np.int64)
+    rows = np.empty((r, count, n) + tail, dtype=np.int64)
+    # echelon row t (mod p) is 0 at the pivots of rows < t; scale[t] inverts its own pivot entry
+    basis = np.empty((r, count, n), dtype=np.int64)
+    pivot, scale = np.empty((2, r, count), dtype=np.int64)
     for k in range(r):
         sub = stream.child(k)
-        todo = np.arange(count)
-        while todo.size:
-            rows[todo, k] = sub.integers(base, size=(todo.size, n) + tail)
-            todo = todo[~_full_rank(field, rows[todo, : k + 1])]
-    return rows
+        todo, size = slice(None), count  # the first pass covers every sample
+        while size:
+            rows[k, todo] = draw = sub.integers(base, size=(size, n) + tail)
+            x = draw[..., 0] if tail else draw
+            for t in range(k):
+                lead = x[np.arange(size), pivot[t, todo]] % p * scale[t, todo] % p
+                x = x - lead[:, None] * basis[t, todo]
+            x = _mod(x, p)
+            if k + 1 < r:  # later rows reduce against this one
+                basis[k, todo] = x
+                pivot[k, todo] = piv = (x != 0).argmax(axis=1)
+                scale[k, todo] = _pow_mod_vec(x[np.arange(size), piv], p - 2, p)
+            todo = np.arange(count)[todo][~x.any(axis=1)]
+            size = todo.size
+    return rows.swapaxes(0, 1)
+
+
+def _mod(x: np.ndarray, m: int) -> np.ndarray:
+    # x % m; numpy's floor division by a scalar is several times faster than its remainder
+    return x - x // m * m
 
 
 def _level_rows(field: FieldParams, n: int, r: int, level: int) -> np.ndarray:
@@ -218,7 +238,7 @@ def _level_rows(field: FieldParams, n: int, r: int, level: int) -> np.ndarray:
         raise TooLarge(f"level-{level} enumeration has {total} matrices")
     codes = np.arange(total, dtype=np.int64)
     rows = np.stack([codes // base**t % base for t in range(width)], axis=1).reshape((total,) + shape)
-    return rows[_full_rank(field, rows)]
+    return rows[invertible_mask(rows[..., 0] if tail else rows, field.p)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,30 +246,76 @@ def _level_rows(field: FieldParams, n: int, r: int, level: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _trace_form(field: FieldParams, pairs, K: int, g1: np.ndarray, g2: np.ndarray):
-    """The integrand as a bilinear form: columns U read from g1, V read from
-    g2 and a modulus M with
-    chi(sum over the pairs of a_i x_j g1[i, j] g2[i, j]) = exp(2 pi i sum_f U_f V_f / M).
-    g2 holds the rows of g2^t for the two-sided kind, those of g again for
-    the congruence kind."""
-    p = field.p
-    U, V = [], []
-    if field.family == "padic":
-        M = p**K
+def _cell_weights(field: FieldParams, pair_lists, K: int):
+    """The weight builder of both phase kernels: the cells (i, j) that any
+    pair list reads, deepest first, as index arrays I, J, and weights W of
+    shape tail + (cells, lists): list l has the phase integer
+    sum_c s_c . W[.., c, l] mod M at cell values s_c mod pi^K.  Over Q_p, M = p^K and W = unit * p^(K-m);
+    over F_p((t)), M = p and W[s] = unit[m-1-s] (s < m) reads the t^-1 coefficient."""
+    depth = {}
+    for pairs in pair_lists:
+        for i, j, m, _ in pairs:
+            depth[i, j] = max(m, depth.get((i, j), 0))
+    cells = sorted(depth, key=depth.get, reverse=True)
+    M, tail = _entry_shape(field, K)
+    W = np.zeros(tail + (len(cells), len(pair_lists)), dtype=np.int64)
+    for l, pairs in enumerate(pair_lists):
         for i, j, m, unit in pairs:
-            U.append((unit * p ** (K - m)) % M * g1[:, i, j] % M)
-            V.append(g2[:, i, j])
-        return np.stack(U, axis=1), np.stack(V, axis=1), M
-    # coefficient of t^-1 in unit * t^-m * g1[i, j] * g2[i, j], digit by digit
-    for i, j, m, unit in pairs:
-        for beta in range(m):
-            U.append(g1[:, i, j, beta])
-            V.append(g2[:, i, j, : m - beta] @ np.array(unit[m - beta - 1 :: -1]) % p)
-    return np.stack(U, axis=1), np.stack(V, axis=1), p
+            if tail:
+                W[:m, cells.index((i, j)), l] = unit[::-1]
+            else:
+                W[cells.index((i, j)), l] = unit * field.p ** (K - m) % M
+    I, J = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    return I, J, W
 
 
-def _phases(U: np.ndarray, V: np.ndarray, M: int) -> np.ndarray:
-    return np.exp(2j * np.pi * ((U * V % M).sum(axis=1) % M) / M)
+def _gather(g: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """g[:, I, J] laid out as tail + (cells, count)."""
+    return g.T[..., J, I, :]
+
+
+def _paired_phases(field: FieldParams, K: int, W: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Phase integers (lists, count) from the gathered cells a of g1 and b of
+    g2: the cell products mod pi^K (digit convolutions over F_p((t))),
+    contracted against W in float64 while the sums stay exact below 2^53,
+    reduced mod M first if need be, else product by product in int64."""
+    M, tail = _entry_shape(field, K)
+    if tail:
+        s = np.zeros_like(b)
+        for t in range(K):
+            deep = W[t:].any(axis=(0, 2)).sum()  # the cells whose lists read digit t
+            for beta in range(t + 1):
+                s[t, :deep] += a[beta, :deep] * b[t - beta, :deep]
+    else:
+        s = a * b
+    s, W = s.reshape(-1, s.shape[-1]), W.reshape(-1, W.shape[-1])
+    top = (M - 1) ** 2 * (K if tail else 1)  # bounds a cell product
+    if len(s) * top * (M - 1) >= 1 << 53:
+        s, top = _mod(s, M), M - 1
+    if len(s) * top * (M - 1) < 1 << 53:
+        return _mod((W.T.astype(float) @ s.astype(float)).astype(np.int64), M)
+    return np.stack([_mod(w[:, None] * s, M).sum(axis=0) % M for w in W.T])
+
+
+def _bilinear_split(field: FieldParams, K: int, W: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Rows U of a and V of b with phase U_e . V_f mod M for the one list of
+    W: U = a * W and V = b over Q_p, U = a and V = b against the Hankel
+    blocks H[gamma, beta] = W[beta + gamma] over F_p((t)).  Columns where V
+    vanishes are dropped; the rows come back contiguous, as np.unique wants."""
+    M, tail = _entry_shape(field, K)
+    w = W[..., 0]
+    if tail:
+        hankel = np.concatenate([w, np.zeros_like(w)])[np.add.outer(np.arange(K), np.arange(K))]
+        U, V = a, _mod(np.einsum("gbc,gce->bce", hankel, b), M)
+    else:
+        U, V = _mod(a * w[:, None], M), b
+    U, V = U.reshape(-1, U.shape[-1]), V.reshape(-1, V.shape[-1])
+    keep = V.any(axis=1)
+    return np.ascontiguousarray(U[keep].T), np.ascontiguousarray(V[keep].T)
+
+
+def _phases(k: np.ndarray, M: int) -> np.ndarray:
+    return np.exp(2j * np.pi * k / M)
 
 
 def _rows_read(pairs) -> int:
@@ -261,18 +327,21 @@ def _mc_estimates(
 ) -> list[McEstimate]:
     """Average the integrand of each pair list over ``n_samples`` row draws,
     chunk by chunk; ``draw_rows(c, count)`` returns the (g1, g2) of chunk c.
-    An empty pair list has the constant integrand 1."""
-    accs = [_Acc() if pairs else None for pairs in pair_lists]
-    if any(pair_lists):
-        for c, start in enumerate(range(0, n_samples, chunk_size)):
-            g1, g2 = draw_rows(c, min(chunk_size, n_samples - start))
-            for acc, pairs in zip(accs, pair_lists):
-                if pairs:
-                    acc.add(_phases(*_trace_form(field, pairs, K, g1, g2)))
-    return [
-        acc.finalize(rng.seed) if acc is not None else McEstimate(1 + 0j, 0.0, n_samples, rng.seed)
-        for acc in accs
-    ]
+    Each chunk gathers the cells that any list reads once and contracts them
+    against every list's weights; an empty list has the integrand 1."""
+    I, J, W = _cell_weights(field, pair_lists, K)
+    M = _entry_shape(field, K)[0]
+    # a table entry has the bits of _phases at its index; it pays once M is below the lookups
+    roots = _phases(np.arange(M), M) if M <= n_samples * len(pair_lists) else None
+    accs = [_Acc() for _ in pair_lists]
+    # when no list reads a cell, nothing is drawn
+    for c, start in enumerate(range(0, n_samples if len(I) else 0, chunk_size)):
+        g1, g2 = draw_rows(c, min(chunk_size, n_samples - start))
+        a = _gather(g1, I, J)
+        b = a if g2 is g1 else _gather(g2, I, J)
+        for acc, k in zip(accs, _paired_phases(field, K, W, a, b)):
+            acc.add(_phases(k, M) if roots is None else roots[k])
+    return [acc.finalize(rng.seed) if acc.n else McEstimate(1 + 0j, 0.0, n_samples, rng.seed) for acc in accs]
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +473,17 @@ def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> c
     if level < K:
         raise LevelTooLow(f"level {level} < stability level {K}")
     rows = _level_rows(field, n, _rows_read(pairs), level)
-    U, V, M = _trace_form(field, pairs, level, rows, rows)
+    I, J, W = _cell_weights(field, [pairs], level)
+    g = _gather(rows, I, J)
+    M = _entry_shape(field, level)[0]
     if kind == KIND_CONGRUENCE:
-        return complex(_phases(U, V, M).mean())
+        return complex(_phases(_paired_phases(field, level, W, g, g)[0], M).mean())
     E = len(rows)
     if E > _EXACT_PAIR_GUARD:
         raise TooLarge(f"{E}^2 integrand evaluations exceed the pair guard")
     # a pair sum U_a . V_b mod M takes one of M values: count them over the
     # distinct rows of U and V, then weight the M roots of unity
+    U, V = _bilinear_split(field, level, W, g, g)
     U, u_count = np.unique(U, axis=0, return_counts=True)
     V, v_count = np.unique(V, axis=0, return_counts=True)
     hist = np.zeros(M)
@@ -419,7 +491,7 @@ def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> c
     for s in range(0, len(U), step):
         S = U[s : s + step] @ V.T % M
         hist += np.bincount(S.ravel(), weights=np.outer(u_count[s : s + step], v_count).ravel(), minlength=M)
-    return complex(hist @ np.exp(2j * np.pi * np.arange(M) / M) / (E * E))
+    return complex(hist @ _phases(np.arange(M), M) / (E * E))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from nonarch.characters import CharValue
 from nonarch.errors import DimensionMismatch, LevelTooLow, TooLarge
-from nonarch.field import FieldParams
+from nonarch.field import FieldParams, parse_field_spec
 from nonarch.orbital import (
     _haar_rows,
     convergence_experiment,
@@ -147,6 +147,63 @@ def test_mc_laurent_matches_exact(l3):
     exact2 = exact_orbital_integral(l3, KIND_TWO_SIDED, [1, 0], [0, None], level=1)
     est2 = mc_orbital_integral(l3, KIND_TWO_SIDED, [1, 0], [0, None], 20_000, RandomStream(14))
     assert abs(est2.mean - exact2) <= 3 * est2.stderr + 1e-12
+
+
+# (field, kind, n) -> (mean, stderr) of the probe [1], then of the probes
+# [2] and [2, 1] in one call; D = (2, 1, 0, ..), 3000 samples in chunks of
+# 1024.  The draws and the phase kernel must reproduce these floats exactly.
+PINNED_DRAWS = {
+    ("padic:p=3,prec=12", "two_sided", 4): [
+        ((0.0010581214284988087+0.022063748712993145j), 0.018256006802841247),
+        ((-0.006344943783478567+0.027059316011482204j), 0.018253408101983885),
+        ((-0.016786984179544433-0.01781230129816634j), 0.0182549916808699),
+    ],
+    ("padic:p=3,prec=12", "two_sided", 8): [
+        ((-0.013766680850468968-0.020508303100446896j), 0.018254890934078612),
+        ((0.00010185197521884634+0.0052602295118340855j), 0.018260209517447848),
+        ((0.000848401547983696+0.0004719309300643827j), 0.018260453642258652),
+    ],
+    ("padic:p=3,prec=12", "congruence", 4): [
+        ((-0.018143093441484282-0.02242210830560009j), 0.01825286501987144),
+        ((0.01257241219632718+0.0001605615989663877j), 0.018259018780120245),
+        ((0.007702071926044815-0.0056012116583980705j), 0.01825963415803275),
+    ],
+    ("padic:p=3,prec=12", "congruence", 8): [
+        ((-0.004171022498374328-0.005332932298633598j), 0.01826004373490214),
+        ((-0.0032255731102593236+0.015692271811960715j), 0.018258118807678275),
+        ((0.009104907630179113-0.013473198382226655j), 0.018258047813611428),
+    ],
+    ("laurent:p=3,prec=12", "two_sided", 4): [
+        ((-0.0040000000000000825-0.00866025403784427j), 0.018259631377604953),
+        ((-0.008500000000000079+0.0014433756729741796j), 0.018259783554413787),
+        ((0.01649999999999992+0.004907477288111934j), 0.01825775645524796),
+    ],
+    ("laurent:p=3,prec=12", "two_sided", 8): [
+        ((0.02599999999999992+0.008660254037844496j), 0.01825360415611748),
+        ((-0.014000000000000085-0.023094010767584904j), 0.018253802051043003),
+        ((0.027499999999999927+0.010103629710818563j), 0.018252623783460528),
+    ],
+    ("laurent:p=3,prec=12", "congruence", 4): [
+        ((-0.00100000000000009-0.0340636658821878j), 0.01824985592553148),
+        ((0.014499999999999926+0.02396003617136958j), 0.018253299698196477),
+        ((0.0014999999999999194-0.0014433756729739476j), 0.018260422683162206),
+    ],
+    ("laurent:p=3,prec=12", "congruence", 8): [
+        ((-0.014500000000000075+0.010680979980008191j), 0.018257500769099443),
+        ((0.017499999999999925+0.009526279441628937j), 0.01825683718596072),
+        ((0.006499999999999923-0.0025980762113532j), 0.018260014860734315),
+    ],
+}
+
+
+@pytest.mark.parametrize("spec, kind, n", list(PINNED_DRAWS))
+def test_mc_orbital_draws_pinned(spec, kind, n):
+    field = parse_field_spec(spec)
+    D = [2, 1] + [0] * (n - 2)
+    rng = RandomStream(20261018).child(spec, kind, n)
+    one = mc_orbital_multi(field, kind, D, [[1]], 3000, rng.child("one"), chunk_size=1024)
+    multi = mc_orbital_multi(field, kind, D, [[2], [2, 1]], 3000, rng.child("multi"), chunk_size=1024)
+    assert [(e.mean, e.stderr) for e in one + multi] == PINNED_DRAWS[spec, kind, n]
 
 
 def test_mc_window_guard_per_family():
