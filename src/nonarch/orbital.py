@@ -111,9 +111,10 @@ def as_element(field: FieldParams, v) -> FieldElement:
 
 
 def _check_window(field: FieldParams, K: int):
-    # the widest int64 sum of the phase kernels is one cell product: M^2
-    # over Q_p, K (p-1)^2 for a digit convolution over F_p((t)); the Monte
-    # Carlo contraction reduces it mod M before summing over cells
+    # the guard bounds one int64 cell product: M^2 over Q_p, K (p-1)^2 for
+    # a digit convolution over F_p((t)); the paired contraction sums the
+    # products over cells in float64 only while that sum stays below 2^53,
+    # else reduces each one mod M before summing in int64
     base, tail = _entry_shape(field, K)
     if math.prod(tail) * base**2 >= 1 << 62:
         raise TooLarge(f"digit window p^{K} too deep for 64-bit kernels")
@@ -212,7 +213,7 @@ def _haar_rows(stream: RandomStream, field: FieldParams, n: int, r: int, K: int,
             for t in range(k):
                 lead = x[np.arange(size), pivot[t, todo]] % p * scale[t, todo] % p
                 x = x - lead[:, None] * basis[t, todo]
-            x = _mod(x, p)
+            x = x % p
             if k + 1 < r:  # later rows reduce against this one
                 basis[k, todo] = x
                 pivot[k, todo] = piv = (x != 0).argmax(axis=1)
@@ -220,11 +221,6 @@ def _haar_rows(stream: RandomStream, field: FieldParams, n: int, r: int, K: int,
             todo = np.arange(count)[todo][~x.any(axis=1)]
             size = todo.size
     return rows.swapaxes(0, 1)
-
-
-def _mod(x: np.ndarray, m: int) -> np.ndarray:
-    # x % m; numpy's floor division by a scalar is several times faster than its remainder
-    return x - x // m * m
 
 
 def _level_rows(field: FieldParams, n: int, r: int, level: int) -> np.ndarray:
@@ -248,15 +244,12 @@ def _level_rows(field: FieldParams, n: int, r: int, level: int) -> np.ndarray:
 
 def _cell_weights(field: FieldParams, pair_lists, K: int):
     """The weight builder of both phase kernels: the cells (i, j) that any
-    pair list reads, deepest first, as index arrays I, J, and weights W of
-    shape tail + (cells, lists): list l has the phase integer
-    sum_c s_c . W[.., c, l] mod M at cell values s_c mod pi^K.  Over Q_p, M = p^K and W = unit * p^(K-m);
-    over F_p((t)), M = p and W[s] = unit[m-1-s] (s < m) reads the t^-1 coefficient."""
-    depth = {}
-    for pairs in pair_lists:
-        for i, j, m, _ in pairs:
-            depth[i, j] = max(m, depth.get((i, j), 0))
-    cells = sorted(depth, key=depth.get, reverse=True)
+    pair list reads, as index arrays I, J, and weights W of shape
+    tail + (cells, lists): list l has the phase integer
+    sum_c s_c . W[.., c, l] mod M at cell values s_c mod pi^K.  Over Q_p,
+    M = p^K and W = unit * p^(K-m); over F_p((t)), M = p and
+    W[s] = unit[m-1-s] (s < m) reads the t^-1 coefficient."""
+    cells = list(dict.fromkeys((i, j) for pairs in pair_lists for i, j, _, _ in pairs))
     M, tail = _entry_shape(field, K)
     W = np.zeros(tail + (len(cells), len(pair_lists)), dtype=np.int64)
     for l, pairs in enumerate(pair_lists):
@@ -278,23 +271,21 @@ def _paired_phases(field: FieldParams, K: int, W: np.ndarray, a: np.ndarray, b: 
     """Phase integers (lists, count) from the gathered cells a of g1 and b of
     g2: the cell products mod pi^K (digit convolutions over F_p((t))),
     contracted against W in float64 while the sums stay exact below 2^53,
-    reduced mod M first if need be, else product by product in int64."""
+    else reduced mod M and summed product by product in int64."""
     M, tail = _entry_shape(field, K)
     if tail:
         s = np.zeros_like(b)
         for t in range(K):
-            deep = W[t:].any(axis=(0, 2)).sum()  # the cells whose lists read digit t
             for beta in range(t + 1):
-                s[t, :deep] += a[beta, :deep] * b[t - beta, :deep]
+                s[t] += a[beta] * b[t - beta]
     else:
         s = a * b
     s, W = s.reshape(-1, s.shape[-1]), W.reshape(-1, W.shape[-1])
     top = (M - 1) ** 2 * (K if tail else 1)  # bounds a cell product
-    if len(s) * top * (M - 1) >= 1 << 53:
-        s, top = _mod(s, M), M - 1
     if len(s) * top * (M - 1) < 1 << 53:
-        return _mod((W.T.astype(float) @ s.astype(float)).astype(np.int64), M)
-    return np.stack([_mod(w[:, None] * s, M).sum(axis=0) % M for w in W.T])
+        return (W.T.astype(float) @ s.astype(float)).astype(np.int64) % M
+    s = s % M
+    return np.stack([(w[:, None] * s % M).sum(axis=0) % M for w in W.T])
 
 
 def _bilinear_split(field: FieldParams, K: int, W: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -306,9 +297,9 @@ def _bilinear_split(field: FieldParams, K: int, W: np.ndarray, a: np.ndarray, b:
     w = W[..., 0]
     if tail:
         hankel = np.concatenate([w, np.zeros_like(w)])[np.add.outer(np.arange(K), np.arange(K))]
-        U, V = a, _mod(np.einsum("gbc,gce->bce", hankel, b), M)
+        U, V = a, np.einsum("gbc,gce->bce", hankel, b) % M
     else:
-        U, V = _mod(a * w[:, None], M), b
+        U, V = a * w[:, None] % M, b
     U, V = U.reshape(-1, U.shape[-1]), V.reshape(-1, V.shape[-1])
     keep = V.any(axis=1)
     return np.ascontiguousarray(U[keep].T), np.ascontiguousarray(V[keep].T)
@@ -331,8 +322,6 @@ def _mc_estimates(
     against every list's weights; an empty list has the integrand 1."""
     I, J, W = _cell_weights(field, pair_lists, K)
     M = _entry_shape(field, K)[0]
-    # a table entry has the bits of _phases at its index; it pays once M is below the lookups
-    roots = _phases(np.arange(M), M) if M <= n_samples * len(pair_lists) else None
     accs = [_Acc() for _ in pair_lists]
     # when no list reads a cell, nothing is drawn
     for c, start in enumerate(range(0, n_samples if len(I) else 0, chunk_size)):
@@ -340,7 +329,7 @@ def _mc_estimates(
         a = _gather(g1, I, J)
         b = a if g2 is g1 else _gather(g2, I, J)
         for acc, k in zip(accs, _paired_phases(field, K, W, a, b)):
-            acc.add(_phases(k, M) if roots is None else roots[k])
+            acc.add(_phases(k, M))
     return [acc.finalize(rng.seed) if acc.n else McEstimate(1 + 0j, 0.0, n_samples, rng.seed) for acc in accs]
 
 

@@ -201,9 +201,9 @@ def test_bilinear_split_matches_trace_form(case):
 @pytest.mark.parametrize(
     "family, p, K",
     [
-        ("padic", 3, 11),  # sums in float64 straight away
-        ("padic", 3, 12),  # cell products reduced mod M first
-        ("padic", 3, 17),  # reduced products too wide for float64: per-cell sums
+        ("padic", 3, 10),  # the widest window summed in float64
+        ("padic", 3, 11),  # sums too wide for float64: per-cell sums
+        ("padic", 3, 17),
         ("padic", 3, 19),  # per-cell: eight products would pass 2^63
         ("padic", 2, 30),
         ("laurent", BIG_P, 6),
