@@ -5,9 +5,8 @@ The integrals are averages of chi(tr(g1 D g2 A)) over independent Haar pairs
 (congruence kind), with D = diag(x_1..x_n) and A = diag(a_1..a_r, 0..).
 Because the trace couples g only through the digit window of depth
 K = max(-ord(a_i x_j)), all kernels work in O_F / pi^K with vectorized
-integer arithmetic: one weight per cell (i, j) read, built once, and two
-contractions, paired (g1 and g2 cells of one draw, all arguments at once)
-and bilinear (the U/V split that the exact oracle histograms).
+integer arithmetic: one weight per cell (i, j) read, built once, and one
+paired contraction (g1 and g2 cells of one draw, all arguments at once).
 
 The integrand reads only rows i < r of g1 (and of g) and columns i < r of
 g2, so only those are drawn: the rows of g1 and of g2^t, itself Haar.  The
@@ -18,9 +17,12 @@ echelon basis mod p of those rows reduces it to nonzero), so it never
 depends on r: a larger r extends the same draws (prefix consistency).  Row
 k is accepted with probability 1 - q^(k-n), so a candidate row set passes
 all r checks at once with probability x, the full-rank fraction of the
-error bounds below.  The exact oracle enumerates the same r x n row sets
-at a finite level.  Draws are keyed by chunk index so results are
+error bounds below.  Draws are keyed by chunk index so results are
 reproducible and independent of how chunks are scheduled.
+
+The exact oracle averages over the same row sets at a finite level by
+enumerating only their residues mod pi: given those, the integrand
+factorizes over the cells it reads (see :func:`exact_orbital_integral`).
 
 Error bounds: writing x = prod_{w<r} (1 - q^{w-n}) (the full-rank fraction
 of r x n digit matrices), the comparison of the integral with the kernel
@@ -47,7 +49,6 @@ from .params import DeltaParam, OmegaParam
 from .sampling import KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream
 
 _EXACT_ENUM_GUARD = 8_000_000
-_EXACT_PAIR_GUARD = 40_000
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,11 @@ def as_element(field: FieldParams, v) -> FieldElement:
     return field.uniformizer_pow(-int(v))
 
 
+def _check_kind(kind: str):
+    if kind not in (KIND_TWO_SIDED, KIND_CONGRUENCE):
+        raise ValueError(f"unknown kind {kind!r}")
+
+
 def _check_window(field: FieldParams, K: int):
     # the guard bounds one int64 cell product: M^2 over Q_p, K (p-1)^2 for
     # a digit convolution over F_p((t)); the paired contraction sums the
@@ -162,7 +168,8 @@ def _pow_mod_vec(base: np.ndarray, e: int, m: int) -> np.ndarray:
 def invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
     """Which (r, n) matrices of the batch, r <= n, have full row rank mod p
     (for square ones: are invertible mod p), by batched elimination.  The
-    level enumerator filters with it; the tests check the sampler against it."""
+    exact oracle filters residue rows with it; the tests check the sampler
+    against it."""
     a = np.swapaxes(mats % p, 1, 2).astype(np.int64)  # full column rank of (n, r)
     B, _, r = a.shape
     alive = np.ones(B, dtype=bool)
@@ -223,18 +230,14 @@ def _haar_rows(stream: RandomStream, field: FieldParams, n: int, r: int, K: int,
     return rows.swapaxes(0, 1)
 
 
-def _level_rows(field: FieldParams, n: int, r: int, level: int) -> np.ndarray:
-    """Every r x n matrix of full residue rank mod pi^level, once each: the
-    first r rows of GL(n, O_F / pi^level), each equally often."""
-    base, tail = _entry_shape(field, level)
-    shape = (r, n) + tail
+def _enumerate(base: int, shape: tuple) -> np.ndarray:
+    """Every integer array of ``shape`` with entries below ``base`` once, as
+    (base^size,) + shape: flat position t holds digit t of the index."""
     width = math.prod(shape)
-    total = base**width
-    if total > _EXACT_ENUM_GUARD:
-        raise TooLarge(f"level-{level} enumeration has {total} matrices")
-    codes = np.arange(total, dtype=np.int64)
-    rows = np.stack([codes // base**t % base for t in range(width)], axis=1).reshape((total,) + shape)
-    return rows[invertible_mask(rows[..., 0] if tail else rows, field.p)]
+    if base**width > _EXACT_ENUM_GUARD:
+        raise TooLarge(f"enumeration of {base}^{width} arrays exceeds the guard")
+    codes = np.arange(base**width, dtype=np.int64)
+    return np.stack([codes // base**t % base for t in range(width)], axis=-1).reshape((-1,) + shape)
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +291,6 @@ def _paired_phases(field: FieldParams, K: int, W: np.ndarray, a: np.ndarray, b: 
     return np.stack([(w[:, None] * s % M).sum(axis=0) % M for w in W.T])
 
 
-def _bilinear_split(field: FieldParams, K: int, W: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Rows U of a and V of b with phase U_e . V_f mod M for the one list of
-    W: U = a * W and V = b over Q_p, U = a and V = b against the Hankel
-    blocks H[gamma, beta] = W[beta + gamma] over F_p((t)).  Columns where V
-    vanishes are dropped; the rows come back contiguous, as np.unique wants."""
-    M, tail = _entry_shape(field, K)
-    w = W[..., 0]
-    if tail:
-        hankel = np.concatenate([w, np.zeros_like(w)])[np.add.outer(np.arange(K), np.arange(K))]
-        U, V = a, np.einsum("gbc,gce->bce", hankel, b) % M
-    else:
-        U, V = a * w[:, None] % M, b
-    U, V = U.reshape(-1, U.shape[-1]), V.reshape(-1, V.shape[-1])
-    keep = V.any(axis=1)
-    return np.ascontiguousarray(U[keep].T), np.ascontiguousarray(V[keep].T)
-
-
 def _phases(k: np.ndarray, M: int) -> np.ndarray:
     return np.exp(2j * np.pi * k / M)
 
@@ -353,8 +339,7 @@ def mc_orbital_multi(
     D = [as_element(field, v) for v in D]
     A_list = [[as_element(field, v) for v in A] for A in A_list]
     n = len(D)
-    if kind not in (KIND_TWO_SIDED, KIND_CONGRUENCE):
-        raise ValueError(f"unknown kind {kind!r}")
+    _check_kind(kind)
     pair_lists = []
     K = 1
     for A in A_list:
@@ -396,6 +381,7 @@ def mc_orbital_integral(
 def product_formula(field: FieldParams, kind: str, D, A) -> CharValue:
     """The factorized limit: product over (i, j) of the kernel at a_i x_j
     (bilinear kernel for the two-sided action, square kernel for congruence)."""
+    _check_kind(kind)
     D = [as_element(field, v) for v in D]
     A = [as_element(field, v) for v in A]
     kernel = KIND_BILINEAR if kind == KIND_TWO_SIDED else KIND_SQUARE
@@ -445,12 +431,20 @@ def error_bound(kind: str, n: int, r: int, q: int) -> ErrorBounds:
 
 
 def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> complex:
-    """Exact value of the orbital integral by averaging the integrand over
-    the full-rank r x n residue matrices mod pi^level, the rows it reads
-    (pairs of them for the two-sided kind).  Valid once level >=
-    max(-ord(a_i x_j)): perturbing g by pi^level h moves the trace inside
-    O_F, where chi is trivial, so Haar measure may be replaced by the
-    uniform measure on the finite level."""
+    """Exact value of the orbital integral: the average of the integrand over
+    the full-rank r x n row sets mod pi^level that it reads (pairs of them
+    for the two-sided kind).  Valid once level >= max(-ord(a_i x_j)):
+    perturbing g by pi^level h moves the trace inside O_F, where chi is
+    trivial, so Haar measure may be replaced by the uniform measure there.
+
+    Such a row set is R + pi H, with R of full rank mod pi and H uniform and
+    independent of R, so given R the integrand factorizes over the read
+    cells.  The p^(r n) residue sets are enumerated once and counted by
+    their values on the read cells; one table per cell averages its factor
+    over the q^level lifts of each residue (the q^(2 level) lift pairs of a
+    residue pair for the two-sided kind), and the counts contracted with the
+    tables give the average.  No row set mod pi^level is written out."""
+    _check_kind(kind)
     D = [as_element(field, v) for v in D]
     A = [as_element(field, v) for v in A]
     n, r = len(D), len(A)
@@ -461,26 +455,27 @@ def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> c
         return 1 + 0j
     if level < K:
         raise LevelTooLow(f"level {level} < stability level {K}")
-    rows = _level_rows(field, n, _rows_read(pairs), level)
-    I, J, W = _cell_weights(field, [pairs], level)
-    g = _gather(rows, I, J)
-    M = _entry_shape(field, level)[0]
+    p, factors = field.p, 1 if kind == KIND_CONGRUENCE else 2
+    residues = _enumerate(p, (_rows_read(pairs), n))
+    residues = residues[invertible_mask(residues, p)]
+    # one list per cell makes W diagonal: summed over cells, it weights a
+    # single lifted entry by every cell
+    I, J, W = _cell_weights(field, [[pair] for pair in pairs], level)
+    M, tail = _entry_shape(field, level)
+    lifts = _enumerate(M, (factors,) + tail)
+    # index = sum_e lift_e q^(level e) with lift_e = d_e + p h_e, so the
+    # reshape below puts the residue of g1 (the last lift) before that of g2
+    g1, g2 = (lifts[:, e].T[..., None, :] for e in (-1, 0))
+    phases = _phases(_paired_phases(field, level, W.sum(axis=-2, keepdims=True), g1, g2), M)
+    tables = phases.reshape((len(pairs),) + (p ** (level - 1), p) * factors).mean(axis=(1, 3)[:factors])
+    shape = (p,) * len(pairs)  # p^cells <= p^(r n) counts, within the residue guard
+    counts = np.bincount(np.ravel_multi_index(residues[:, I, J].T, shape), minlength=math.prod(shape)).reshape(shape)
+    total = counts
+    for table in tables:  # congruence: sum_d counts[d] prod_c f_c(d_c)
+        total = np.tensordot(total, table, axes=(0, 0))  # two-sided: g1 axis c -> g2 axis c
     if kind == KIND_CONGRUENCE:
-        return complex(_phases(_paired_phases(field, level, W, g, g)[0], M).mean())
-    E = len(rows)
-    if E > _EXACT_PAIR_GUARD:
-        raise TooLarge(f"{E}^2 integrand evaluations exceed the pair guard")
-    # a pair sum U_a . V_b mod M takes one of M values: count them over the
-    # distinct rows of U and V, then weight the M roots of unity
-    U, V = _bilinear_split(field, level, W, g, g)
-    U, u_count = np.unique(U, axis=0, return_counts=True)
-    V, v_count = np.unique(V, axis=0, return_counts=True)
-    hist = np.zeros(M)
-    step = max(1, (1 << 22) // len(V))
-    for s in range(0, len(U), step):
-        S = U[s : s + step] @ V.T % M
-        hist += np.bincount(S.ravel(), weights=np.outer(u_count[s : s + step], v_count).ravel(), minlength=M)
-    return complex(hist @ _phases(np.arange(M), M) / (E * E))
+        return complex(total / len(residues))
+    return complex((total * counts).sum() / len(residues) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonarch.characters import CharValue
 from nonarch.errors import DimensionMismatch, LevelTooLow, TooLarge
@@ -263,8 +265,22 @@ def test_exact_congruence_worked_example(q3):
 def test_exact_level_guards(q3):
     with pytest.raises(LevelTooLow):
         exact_orbital_integral(q3, KIND_TWO_SIDED, [1], [1], level=1)
-    with pytest.raises(TooLarge):
-        exact_orbital_integral(q3, KIND_TWO_SIDED, [2, 2, 2], [2, 2, 2], level=4)
+    with pytest.raises(TooLarge):  # 3^25 residue row sets
+        exact_orbital_integral(q3, KIND_TWO_SIDED, [2] * 5, [2] * 5, level=4)
+    # 3^9 residue row sets and 81^2 lift pairs per cell
+    exact = exact_orbital_integral(q3, KIND_TWO_SIDED, [2, 2, 2], [2, 2, 2], level=4)
+    prod = product_formula(q3, KIND_TWO_SIDED, [2, 2, 2], [2, 2, 2]).to_complex(3)
+    assert abs(exact - prod) <= float(error_bound(KIND_TWO_SIDED, 3, 3, 3).factorization)
+
+
+def test_exact_rejects_unknown_kind(q3):
+    with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+        exact_orbital_integral(q3, "bogus", [1], [1], 2)
+
+
+def test_product_formula_rejects_unknown_kind(q3):
+    with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+        product_formula(q3, "bogus", [1], [1])
 
 
 def test_exact_level_stability(q3):
@@ -330,11 +346,45 @@ def test_exact_rows_match_whole_matrix_enumeration(q3, l3, kind, dv, av, level):
         assert exact_orbital_integral(field, kind, dv, av, level) == pytest.approx(direct, abs=1e-12)
 
 
+# whole-matrix enumerations up to these sizes take well under a second;
+# levels stop at 4, where the oracle's lift pairs number q^8
+DIRECT_LIMIT = {KIND_TWO_SIDED: 4096, KIND_CONGRUENCE: 531441}
+
+
+@st.composite
+def direct_cases(draw):
+    family = draw(st.sampled_from(["padic", "laurent"]))
+    p = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from([KIND_TWO_SIDED, KIND_CONGRUENCE]))
+    n = draw(st.integers(1, 2))
+    top = max(L for L in range(1, 5) if p ** (L * n * n) <= DIRECT_LIMIT[kind])
+    dv = draw(st.lists(st.integers(-1, top - 1), min_size=n, max_size=n))
+    av = draw(st.lists(st.integers(0, 1), min_size=1, max_size=n))
+    level = draw(st.integers(max(1, max(a + d for a in av for d in dv)), top))
+    return FieldParams(family, p, 12), kind, dv, av, level
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(direct_cases())
+def test_exact_matches_whole_matrix_enumeration_everywhere(case):
+    field, kind, dv, av, level = case
+    reads = max(a + d for a in av for d in dv) >= 1
+    direct = _direct_exact(field.family, kind, dv, av, level, field.p) if reads else 1
+    assert exact_orbital_integral(field, kind, dv, av, level) == pytest.approx(direct, abs=1e-12)
+
+
 def test_exact_reaches_level_three_at_rank_one(q3):
-    # whole 2 x 2 matrices mod 27 exceed the pair guard; the r = 1 rows do not
     exact = exact_orbital_integral(q3, KIND_TWO_SIDED, [2, 1], [1], level=3)
     prod = product_formula(q3, KIND_TWO_SIDED, [2, 1], [1]).to_complex(3)
     assert abs(exact - prod) <= float(error_bound(KIND_TWO_SIDED, 2, 1, 3).factorization)
+
+
+def test_exact_two_sided_rank_two_level_three(q3, l3):
+    # 27^4 whole matrices mod 27 per factor; the oracle needs 3^4 residues
+    for field in (q3, l3):
+        v2 = exact_orbital_integral(field, KIND_TWO_SIDED, [1, 0], [1, 1], level=2)
+        v3 = exact_orbital_integral(field, KIND_TWO_SIDED, [1, 0], [1, 1], level=3)
+        assert v3 == pytest.approx(v2, abs=1e-12)
 
 
 # -- cross-module identities -----------------------------------------------------------

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from nonarch.errors import TooLarge
 from nonarch.field import FieldParams
 from nonarch.orbital import (
-    _bilinear_split,
     _cell_weights,
     _check_window,
     _entry_shape,
@@ -183,19 +182,6 @@ def test_paired_phases_match_trace_form(case):
     got = _paired_phases(field, K, W, _gather(g1, I, J), _gather(g2, I, J))
     for row, pairs in zip(got, pair_lists):
         assert row.tolist() == ref_phase_ints(field, pairs, K, g1, g2).tolist()
-
-
-@SETTINGS
-@given(kernel_cases())
-def test_bilinear_split_matches_trace_form(case):
-    field, K, pair_lists, g1, g2 = case
-    pairs = pair_lists[0]
-    I, J, W = _cell_weights(field, [pairs], K)
-    U, V = _bilinear_split(field, K, W, _gather(g1, I, J), _gather(g2, I, J))
-    U_ref, V_ref, M = ref_trace_form(field, pairs, K, g1, g2)
-    got = U.astype(object) @ V.T.astype(object) % M
-    ref = U_ref.astype(object) @ V_ref.T.astype(object) % M
-    assert got.tolist() == ref.tolist()
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 from nonarch.field import FieldParams
 from nonarch.sampling import RandomStream
-from nonarch.verification import verify_decompositions, verify_measure_charfun
+from nonarch.verification import verify_decompositions, verify_exact_oracle, verify_measure_charfun
 
 SEED = 20260811
 
@@ -29,3 +29,11 @@ def test_measure_charfun_batched_over_laurent():
         "congruence multiplicativity",
     ]
     assert suite.passed
+
+
+def test_exact_oracle_checks_rank_two_level_stability():
+    # level 3 of the two-sided rank-two case: 3^4 residue row sets
+    label = "two_sided D=[1, 0] A=[1, 1]: level stability"
+    for spec in (("padic", 3, 12), ("laurent", 3, 12)):
+        suite = verify_exact_oracle(FieldParams(*spec), RandomStream(SEED).child("oracle"), n_samples=2000)
+        assert [row["pass"] for row in suite.rows if row["label"] == label] == [True]
