@@ -1,0 +1,8 @@
+"""``python -m nonarch``: the command-line interface of :mod:`nonarch.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

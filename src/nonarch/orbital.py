@@ -46,7 +46,7 @@ from .errors import DimensionMismatch, LevelTooLow, PrecisionExhausted, TooLarge
 from .field import FieldElement, FieldParams
 from .matrices import MatF
 from .params import DeltaParam, OmegaParam
-from .sampling import KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream
+from .sampling import KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream, _corner_draws
 
 _EXACT_ENUM_GUARD = 8_000_000
 
@@ -602,30 +602,22 @@ def _chi_trace(A: MatF, M: MatF) -> complex:
 
 
 def _corner_rows(field: FieldParams, param, n: int, count: int, window: int, stream: RandomStream):
-    """Rows g1, g2 of shape (count, r, n[, window]), drawn mod pi^window, with
-    the corner diagonal c_jj = sum_i c_i g1[:, i, j] g2[:, i, j] for the
-    coefficients c of :func:`generator_diagonal`.  Row t holds X_t and Y_t of
-    the rank-one term pi^-k_t X_t Y_t^t (congruence family: X_t X_t^t, then
-    the eps-twisted Y_t Y_t^t); a last row holds the diagonal of the Haar
-    tail Z (resp. H) against the constant 1."""
-    base, tail = _entry_shape(field, window)
-
-    def draw(*path, shape=(n,)):
-        return stream.child(*path).integers(base, size=(count,) + shape + tail)
-
-    if isinstance(param, DeltaParam):
-        g1 = [draw("x", t) for t in range(len(param.head))]
-        g2 = [draw("y", t) for t in range(len(param.head))]
-        haar = param.tail, "z"
-    else:
-        g1 = g2 = [draw("x", t) for t in range(len(param.kk))] + [draw("y", t) for t in range(len(param.kkp))]
-        haar = param.k, "h"
-    if haar[0] is not None:
+    """Rows g1, g2 of shape (count, r, n[, window]) of the corner draw of
+    :func:`sampling._corner_draws`, with the corner diagonal
+    c_jj = sum_i c_i g1[:, i, j] g2[:, i, j] for the coefficients c of
+    :func:`generator_diagonal`.  Row t holds X_t and Y_t of rank-one term t
+    (congruence family: X_t twice); a last row holds the diagonal of the
+    Haar tail Z (resp. H) against the constant 1."""
+    terms, haar = _corner_draws(field, param, n, count, window, stream)
+    g1, g2 = [X for _, _, X, _ in terms], [Y for _, _, _, Y in terms]
+    if haar is not None:
         diag = np.arange(n)
-        g1 = g1 + [draw(haar[1], shape=(n, n))[:, diag, diag]]
+        g1.append(haar[1][:, diag, diag])
+        del haar  # only the diagonal of the tail outlives the stacking below
         # the entry 1: one integer over Q_p, the digits (1, 0, ..) over F_p((t))
+        tail = _entry_shape(field, window)[1]
         one = np.eye(1, math.prod(tail), dtype=np.int64).reshape(tail)
-        g2 = g2 + [np.broadcast_to(one, g1[-1].shape)]
+        g2.append(np.broadcast_to(one, g1[-1].shape))
     return np.stack(g1, axis=1), np.stack(g2, axis=1)
 
 

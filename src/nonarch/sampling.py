@@ -5,6 +5,10 @@ Randomness is counter-based: a :class:`RandomStream` is a (seed, derivation
 path) pair keyed into a Philox generator, so any two draws with distinct
 paths are independent and identical paths reproduce identical draws no
 matter how work is scheduled across threads or processes.
+
+Each measure family has one corner draw, :func:`_corner_draws`, with one
+stream per independent variable; ``orbital.measure_charfun_batch`` reads
+its diagonal and :func:`sample_corner` is its one-sample view.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import hashlib
 import numpy as np
 
 from .errors import InvalidParam
-from .field import FieldElement, FieldParams
-from .matrices import MatF, add_lenient
+from .field import FieldElement, FieldParams, _vp
+from .matrices import MatF
 from .params import DeltaParam, OmegaParam, validate
 from .residue import _det_mod
 
@@ -113,16 +117,43 @@ def haar_gl(rng: RandomStream, params: FieldParams, n: int) -> MatF:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_vector(params: FieldParams, rng: RandomStream, n: int) -> list[FieldElement]:
-    return [uniform_integer(params, rng.child(i)) for i in range(n)]
+def _corner_draws(field: FieldParams, param, n: int, count: int, window: int, stream: RandomStream):
+    """Every variable of ``count`` corners of ``param`` mod pi^window, each
+    from its own stream (integers below p^window over Q_p, digits on a
+    trailing axis over F_p((t))): rank-one terms (k, c, X, Y) standing for
+    c pi^-k X Y^t, X and Y of shape (count, n[, window]) from ("x", t) and
+    ("y", t) (symmetric family: X X^t, then eps Y Y^t with c the digit of
+    eps), and the Haar tail (k, Z), Z of shape (count, n, n[, window]) from
+    "z" (resp. "h"), or None for a -inf tail."""
+
+    def draw(*path, shape=(n,)):
+        sub, size = stream.child(*path), (count,) + shape
+        if field.family == "padic":
+            return _uniform_below(field, sub, window, size)
+        return sub.integers(field.p, size=size + (window,))
+
+    if isinstance(param, DeltaParam):
+        terms = [(k, 1, draw("x", t), draw("y", t)) for t, k in enumerate(param.head)]
+        tail, name = param.tail, "z"
+    else:
+        eps = field.nonsquare_unit_digit
+        squares = [(k, 1, draw("x", t)) for t, k in enumerate(param.kk)]
+        squares += [(k, eps, draw("y", t)) for t, k in enumerate(param.kkp)]
+        terms = [(k, c, X, X) for k, c, X in squares]
+        tail, name = param.k, "h"
+    return terms, None if tail is None else (tail, draw(name, shape=(n, n)))
 
 
 def sample_corner(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
     """Top-left n x n corner of the infinite random matrix attached to the
     parameter: rank-one terms pi^-k X Y^t (resp. symmetric X X^t and
-    eps-twisted ones) plus the Haar tail pi^-k Z (resp. symmetric H).
+    eps-twisted ones) plus the Haar tail pi^-k Z (resp. symmetric H, read
+    on i <= j).
 
-    Every independent variable draws from its own derivation path.
+    One sample of the corner draw (:func:`_corner_draws` at count 1 and
+    window = precision).  Entry (i, j) is the sum of its terms mod pi^A, A
+    the least of ord(term) + precision over its nonzero terms: O(pi^A) when
+    the sum cancels there, the exact zero when every term is zero.
     """
     if isinstance(param, DeltaParam):
         return sample_mu_corner(field, param, n, rng)
@@ -135,22 +166,7 @@ def sample_mu_corner(field: FieldParams, param: DeltaParam, n: int, rng: RandomS
     ok, msg = validate(param)
     if not ok or not isinstance(param, DeltaParam):
         raise InvalidParam(msg or "expected a DeltaParam")
-    zero = field.zero()
-    acc = [[zero] * n for _ in range(n)]
-    for t, k in enumerate(param.head):
-        xs = _uniform_vector(field, rng.child("x", t), n)
-        ys = _uniform_vector(field, rng.child("y", t), n)
-        for i in range(n):
-            xi = xs[i].shift(-k)
-            for j in range(n):
-                acc[i][j] = add_lenient(acc[i][j], xi * ys[j])
-    if param.tail is not None:
-        zr = rng.child("z")
-        for i in range(n):
-            for j in range(n):
-                z = uniform_integer(field, zr.child(i, j)).shift(-param.tail)
-                acc[i][j] = add_lenient(acc[i][j], z)
-    return MatF.from_rows(field, acc)
+    return _corner_matrix(field, param, n, rng)
 
 
 def sample_nu_corner(field: FieldParams, param: OmegaParam, n: int, rng: RandomStream) -> MatF:
@@ -158,34 +174,53 @@ def sample_nu_corner(field: FieldParams, param: OmegaParam, n: int, rng: RandomS
     ok, msg = validate(param)
     if not ok or not isinstance(param, OmegaParam):
         raise InvalidParam(msg or "expected an OmegaParam")
-    eps = field.eps()
-    zero = field.zero()
-    acc = [[zero] * n for _ in range(n)]
+    return _corner_matrix(field, param, n, rng)
 
-    def add_rank_one(vec, scale):
-        scaled = [v * scale for v in vec]
-        for i in range(n):
-            for j in range(i, n):
-                term = scaled[i] * vec[j]
-                acc[i][j] = add_lenient(acc[i][j], term)
-                if i != j:
-                    acc[j][i] = acc[i][j]
 
-    for t, k in enumerate(param.kk):
-        xs = _uniform_vector(field, rng.child("x", t), n)
-        add_rank_one(xs, field.uniformizer_pow(-k))
-    for t, k in enumerate(param.kkp):
-        ys = _uniform_vector(field, rng.child("y", t), n)
-        add_rank_one(ys, eps.shift(-k))
-    if param.k is not None:
-        hr = rng.child("h")
-        for i in range(n):
-            for j in range(i, n):
-                h = uniform_integer(field, hr.child(i, j)).shift(-param.k)
-                acc[i][j] = add_lenient(acc[i][j], h)
-                if i != j:
-                    acc[j][i] = acc[i][j]
-    return MatF.from_rows(field, acc)
+def _corner_matrix(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
+    """Each entry of one corner draw as an exact integer sum of its terms,
+    all scaled by pi^kmax: over Q_p the values themselves (base B = p), over
+    F_p((t)) one digit per b-bit slot (B = 2^b), wide enough that no digit
+    sum carries, reduced mod p slot by slot."""
+    p, N, padic = field.p, field.precision, field.family == "padic"
+    terms, haar = _corner_draws(field, param, n, 1, N, rng)
+    kmax = param.support_bound()  # at least every k
+    # a slot sums N digit products times c < p per rank-one term, plus a tail digit
+    b = ((len(terms) + 1) * N * (p - 1) ** 3 + p).bit_length()
+    B = p if padic else 1 << b
+    slots = np.array([B**s for s in range(N)], dtype=object)
+
+    def ints(a):  # drawn values as integers in base B
+        return a.tolist() if padic else (a.astype(object) @ slots).tolist()
+
+    def val(v):  # the valuation (plus kmax) of one nonzero scaled term
+        return _vp(v, p) if padic else ((v & -v).bit_length() - 1) // b
+
+    grids = []  # the n x n scaled values of each term
+    for k, c, X, Y in terms:
+        scale, ys = c * B ** (kmax - k), ints(Y[0])
+        grids.append([[scale * x * y for y in ys] for x in ints(X[0])])
+    if haar:
+        grids.append([[B ** (kmax - haar[0]) * z for z in row] for row in ints(haar[1][0])])
+
+    def entry(i, j):
+        parts = [g[i][j] for g in grids if g[i][j]]
+        if not parts:
+            return field.zero()
+        S, L = sum(parts), min(map(val, parts)) + N  # S is known mod B^L, L = A + kmax
+        if padic:
+            S %= p**L
+            lead = _vp(S, p) if S else L
+            unit = S // p**lead
+        else:
+            digits = [(S >> (b * s)) % B % p for s in range(L)]
+            lead = next((s for s, d in enumerate(digits) if d), L)
+            unit = tuple(digits[lead:])
+        return FieldElement(field, L - kmax, None, 0) if lead == L else FieldElement(field, lead - kmax, unit, L - lead)
+
+    symmetric = isinstance(param, OmegaParam)
+    upper = {(i, j): entry(i, j) for i in range(n) for j in range(i if symmetric else 0, n)}
+    return MatF(field, n, n, [upper[(j, i) if symmetric and j < i else (i, j)] for i in range(n) for j in range(n)])
 
 
 # ---------------------------------------------------------------------------

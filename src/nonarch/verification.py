@@ -285,7 +285,11 @@ def verify_exact_oracle(field: FieldParams, rng: RandomStream, n_samples: int = 
         (KIND_CONGRUENCE, [1, 1], [1, 0], 2),
     ]
     for kind, dv, av, level in cases:
-        exact = orbital.exact_orbital_integral(field, kind, dv, av, level)
+        try:
+            exact = orbital.exact_orbital_integral(field, kind, dv, av, level)
+        except TooLarge as exc:
+            s.check(f"{kind} D={dv} A={av}: level {level} exceeds the enumeration guard ({exc})", False)
+            continue
         est = orbital.mc_orbital_integral(field, kind, dv, av, n_samples, rng.child("mc", kind, tuple(dv), tuple(av)))
         gap_mc = abs(est.mean - exact)
         s.check(f"{kind} D={dv} A={av}: |MC - exact| {gap_mc:.2e} <= 3se", gap_mc <= 3 * est.stderr + 1e-12)

@@ -1,6 +1,10 @@
 """CLI surface: subcommands, wire formats, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +234,12 @@ def test_sample_requires_min_count_invariant(capsys):
     # n_samples floor applies to MC subcommands (verify/converge)
     code, _, _ = run(capsys, "converge", "--param", '{"head": [], "tail": {"const": 0}}', "--samples", "50")
     assert code == 1
+
+
+def test_python_m_nonarch_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "nonarch", "--help"]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "verify" in done.stdout

@@ -2,19 +2,29 @@
 orbital pushes."""
 
 import math
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonarch.field import FieldParams
 from nonarch.characters import chi
-from nonarch.matrices import MatF, singular_numbers, sym_diagonalize
-from nonarch.orbital import empirical_charfun, invertible_mask, measure_charfun_batch
+from nonarch.matrices import MatF, add_lenient, singular_numbers, sym_diagonalize
+from nonarch.orbital import (
+    _corner_rows,
+    empirical_charfun,
+    generator_diagonal,
+    invertible_mask,
+    measure_charfun_batch,
+)
 from nonarch.params import DeltaParam, OmegaParam
 from nonarch.residue import counting
 from nonarch.sampling import (
     KIND_CONGRUENCE,
     KIND_TWO_SIDED,
     RandomStream,
+    _corner_draws,
     haar_gl,
     orbital_push,
     sample_corner,
@@ -214,6 +224,115 @@ def test_batch_sampler_padic_draws_pinned(q3):
         assert [e.n_samples for e in ests] == [3000] * 3
         for est, value in zip(ests, pinned):
             assert abs(est.mean - value) <= 1e-12
+
+
+def _element(field, a):
+    """A drawn value as a FieldElement: the integer itself over Q_p, its
+    digit window over F_p((t))."""
+    return field.from_base_p(int(a)) if field.family == "padic" else field.element(0, a)
+
+
+def _reference_corner(field, param, n, rng):
+    """The corner accumulated term by term in FieldElement arithmetic over
+    the variables the batched draw gives at count 1, window = precision."""
+    terms, haar = _corner_draws(field, param, n, 1, field.precision, rng)
+    acc = [[field.zero()] * n for _ in range(n)]
+    for k, c, X, Y in terms:
+        for i, j in product(range(n), repeat=2):
+            term = _element(field, X[0, i]).shift(-k) * _element(field, Y[0, j]) * field.from_int(c)
+            acc[i][j] = add_lenient(acc[i][j], term)
+    if haar is not None:
+        k, Z = haar
+        for i, j in product(range(n), repeat=2):
+            a, b = sorted((i, j)) if isinstance(param, OmegaParam) else (i, j)
+            acc[i][j] = add_lenient(acc[i][j], _element(field, Z[0, a, b]).shift(-k))
+    return acc
+
+
+@st.composite
+def _corner_cases(draw):
+    family, p = draw(st.sampled_from(["padic", "laurent"])), draw(st.sampled_from([3, 5]))
+    field = FieldParams(family, p, draw(st.integers(2, 6)))
+    ks = st.integers(-2, 3)
+    if draw(st.booleans()):
+        head = tuple(sorted(draw(st.lists(ks, max_size=3)), reverse=True))
+        param = DeltaParam(head, draw(st.none() | st.integers(-3, min(head, default=3) - 1)))
+    else:
+        kk = tuple(sorted(draw(st.lists(ks, max_size=2)), reverse=True))
+        kkp = tuple(sorted(draw(st.sets(ks, max_size=2)), reverse=True))
+        param = OmegaParam(draw(st.none() | st.integers(-3, min(kk + kkp, default=3) - 1)), kk, kkp)
+    return field, param, draw(st.integers(1, 4)), RandomStream(draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_corner_cases())
+def test_corner_matches_term_by_term_accumulation(case):
+    # precision 2..6 makes zero windows and cancelled sums frequent; each
+    # entry must carry exactly the window add_lenient certifies
+    field, param, n, rng = case
+    corner = sample_corner(field, param, n, rng)
+    reference = _reference_corner(field, param, n, rng)
+    assert [corner[i, j] for i, j in product(range(n), repeat=2)] == [e for row in reference for e in row]
+
+
+@pytest.mark.parametrize(
+    "spec, param",
+    [
+        (("padic", 3, 12), DeltaParam((2, 1), -1)),
+        (("laurent", 3, 12), DeltaParam((2, 1), -1)),
+        (("padic", 5, 6), DeltaParam((1, 1, 0), None)),
+        (("padic", 3, 12), OmegaParam(-1, (1,), (0,))),
+        (("laurent", 3, 12), OmegaParam(-1, (1,), (0,))),
+        (("laurent", 5, 6), OmegaParam(None, (2, 2), (1, -1))),
+    ],
+)
+def test_corner_diagonal_is_the_batch_diagonal(spec, param):
+    # c_jj = sum_i c_i g1[i, j] g2[i, j] over the rows the batched
+    # estimator builds from the same draw
+    field, n = FieldParams(*spec), 4
+    rng = RandomStream(67).child("diag")
+    corner = sample_corner(field, param, n, rng)
+    g1, g2 = _corner_rows(field, param, n, 1, field.precision, rng)
+    coefficients = generator_diagonal(field, param, g1.shape[1])
+    for j in range(n):
+        c = field.zero()
+        for i, w in enumerate(coefficients):
+            c = add_lenient(c, w * _element(field, g1[0, i, j]) * _element(field, g2[0, i, j]))
+        assert corner[j, j] == c
+
+
+def test_corner_draws_pinned():
+    # entries (ord, digits), or ("O", g) for O(pi^g), recorded at
+    # RandomStream(seed).child("pin"): a change to the corner draws fails here
+    cases = (
+        (
+            ("padic", 3, 4),
+            DeltaParam((2, 1), -1),
+            38,
+            [("O", 3), (0, (1, 1, 1, 0)), (-2, (2, 0, 2, 2)), (2, (1, 1, 1))],
+        ),
+        (
+            ("laurent", 5, 5),
+            OmegaParam(-1, (1,), (0,)),
+            71,
+            [(1, (4, 3, 2, 1, 0)), (0, (3, 1, 2, 3, 1)), (0, (3, 1, 2, 3, 1)), (-1, (4, 2, 3, 1, 4))],
+        ),
+    )
+    for spec, param, seed, pinned in cases:
+        corner = sample_corner(FieldParams(*spec), param, 2, RandomStream(seed).child("pin"))
+        assert [("O", e.ord) if e.is_vanishing() else (e.ord, e.digits) for e in corner.entries] == pinned
+
+
+def test_corner_beyond_int64_windows():
+    # 5^30 > 2^63: the entries are drawn digit by digit
+    field = FieldParams("padic", 5, 30)
+    rng = RandomStream(73).child("wide")
+    for param in (DeltaParam((2, 1), -1), OmegaParam(-1, (1,), (0,))):
+        stream = rng.child(repr(param))
+        corner = sample_corner(field, param, 3, stream)
+        assert list(corner.entries) == [e for row in _reference_corner(field, param, 3, stream) for e in row]
+        assert all(e.is_zero() or e.ord >= -2 for e in corner.entries)
+        assert max(e.rel for e in corner.entries) == 30
 
 
 def test_corner_invariant_under_push(q3):

@@ -1,5 +1,6 @@
 """Verification suites: failures are reported as rows, never raised."""
 
+from nonarch.cli import MIN_MC_SAMPLES, main
 from nonarch.field import FieldParams
 from nonarch.sampling import RandomStream
 from nonarch.verification import verify_decompositions, verify_exact_oracle, verify_measure_charfun
@@ -37,3 +38,22 @@ def test_exact_oracle_checks_rank_two_level_stability():
     for spec in (("padic", 3, 12), ("laurent", 3, 12)):
         suite = verify_exact_oracle(FieldParams(*spec), RandomStream(SEED).child("oracle"), n_samples=2000)
         assert [row["pass"] for row in suite.rows if row["label"] == label] == [True]
+
+
+def test_exact_oracle_reports_guarded_levels(tmp_path):
+    # over Q_59 the level-2 lift pairs (59^4) and the rank-two residue sets
+    # exceed the enumeration guard: each such case is one failing row, the
+    # others are still checked, and verify exits 2 rather than 1
+    field = FieldParams("padic", 59, 6)
+    suite = verify_exact_oracle(field, RandomStream(1).child("oracle"), n_samples=MIN_MC_SAMPLES)
+    failed = [row["label"].split(": ")[0] for row in suite.rows if not row["pass"]]
+    assert failed == [
+        "two_sided D=[1] A=[1]",
+        "two_sided D=[1, 0] A=[1]",
+        "two_sided D=[1, 0] A=[1, 1]",
+        "congruence D=[1, 1] A=[1, 0]",
+    ]
+    assert all("exceeds the enumeration guard" in row["label"] for row in suite.rows if not row["pass"])
+    assert len(suite.rows) == len(failed) + 2 * 4
+    out = str(tmp_path / "report.json")
+    assert main(["verify", "--field", field.spec_string(), "--samples", str(MIN_MC_SAMPLES), "--out", out, "bounds"]) == 2
