@@ -9,16 +9,12 @@ integer arithmetic: one weight per cell (i, j) read, built once, and one
 paired contraction (g1 and g2 cells of one draw, all arguments at once).
 
 The integrand reads only rows i < r of g1 (and of g) and columns i < r of
-g2, so only those are drawn: the rows of g1 and of g2^t, itself Haar.  The
-first r rows of a Haar matrix in GL(n, O_F) are uniform on the r x n
-matrices of full residue rank.  Row k is drawn from its own stream
-``child(k)`` and redrawn until it is independent mod pi of rows 0..k-1 (an
-echelon basis mod p of those rows reduces it to nonzero), so it never
-depends on r: a larger r extends the same draws (prefix consistency).  Row
-k is accepted with probability 1 - q^(k-n), so a candidate row set passes
-all r checks at once with probability x, the full-rank fraction of the
-error bounds below.  Draws are keyed by chunk index so results are
-reproducible and independent of how chunks are scheduled.
+g2, so only those are drawn: the rows of g1 and of g2^t, itself Haar, by
+the one Haar sampler :func:`sampling._haar_rows`.  It accepts row k with
+probability 1 - q^(k-n), so a candidate row set passes all r checks at
+once with probability x, the full-rank fraction of the error bounds below.
+Draws are keyed by chunk index so results are reproducible and independent
+of how chunks are scheduled.
 
 The exact oracle averages over the same row sets at a finite level by
 enumerating only their residues mod pi: given those, the integrand
@@ -46,7 +42,7 @@ from .errors import DimensionMismatch, LevelTooLow, PrecisionExhausted, TooLarge
 from .field import FieldElement, FieldParams
 from .matrices import MatF
 from .params import DeltaParam, OmegaParam
-from .sampling import KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream, _corner_draws
+from .sampling import KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream, _corner_draws, _entry_shape, _haar_rows, _pow_mod_vec
 
 _EXACT_ENUM_GUARD = 8_000_000
 
@@ -150,19 +146,8 @@ def _pair_data(field: FieldParams, D, A):
 
 
 # ---------------------------------------------------------------------------
-# Haar rows modulo pi^K
+# residue rank and enumeration
 # ---------------------------------------------------------------------------
-
-
-def _pow_mod_vec(base: np.ndarray, e: int, m: int) -> np.ndarray:
-    result = np.ones_like(base)
-    b = base % m
-    while e:
-        if e & 1:
-            result = result * b % m
-        b = b * b % m
-        e >>= 1
-    return result
 
 
 def invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
@@ -188,46 +173,6 @@ def invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
         factor = a[:, k + 1 :, k] * inv[:, None] % p
         a[:, k + 1 :, k:] = (a[:, k + 1 :, k:] - factor[:, :, None] * a[:, None, k, k:]) % p
     return alive
-
-
-def _entry_shape(field: FieldParams, K: int) -> tuple[int, tuple]:
-    """An entry of O_F / pi^K as an array: one integer below p^K over Q_p,
-    K digits mod p on a trailing axis over F_p((t)).  Returns the base of
-    the drawn integers and the trailing axes."""
-    if field.family == "padic":
-        return field.p**K, ()
-    return field.p, (K,)
-
-
-def _haar_rows(stream: RandomStream, field: FieldParams, n: int, r: int, K: int, count: int) -> np.ndarray:
-    """(count, r, n[, K]): the first r rows mod pi^K of ``count`` Haar
-    matrices in GL(n, O_F), uniform on the r x n matrices of full residue
-    rank.  Row k comes from ``stream.child(k)``, redrawn until it is
-    independent mod pi of rows 0..k-1 (nonzero once reduced by their
-    echelon basis mod p), so it does not depend on r."""
-    p = field.p
-    base, tail = _entry_shape(field, K)
-    rows = np.empty((r, count, n) + tail, dtype=np.int64)
-    # echelon row t (mod p) is 0 at the pivots of rows < t; scale[t] inverts its own pivot entry
-    basis = np.empty((r, count, n), dtype=np.int64)
-    pivot, scale = np.empty((2, r, count), dtype=np.int64)
-    for k in range(r):
-        sub = stream.child(k)
-        todo, size = slice(None), count  # the first pass covers every sample
-        while size:
-            rows[k, todo] = draw = sub.integers(base, size=(size, n) + tail)
-            x = draw[..., 0] if tail else draw
-            for t in range(k):
-                lead = x[np.arange(size), pivot[t, todo]] % p * scale[t, todo] % p
-                x = x - lead[:, None] * basis[t, todo]
-            x = x % p
-            if k + 1 < r:  # later rows reduce against this one
-                basis[k, todo] = x
-                pivot[k, todo] = piv = (x != 0).argmax(axis=1)
-                scale[k, todo] = _pow_mod_vec(x[np.arange(size), piv], p - 2, p)
-            todo = np.arange(count)[todo][~x.any(axis=1)]
-            size = todo.size
-    return rows.swapaxes(0, 1)
 
 
 def _enumerate(base: int, shape: tuple) -> np.ndarray:

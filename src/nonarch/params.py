@@ -34,6 +34,14 @@ def _is_strictly_decreasing(xs: Sequence[int]) -> bool:
     return all(a > b for a, b in zip(xs, xs[1:]))
 
 
+def _json_ints(obj: dict, key: str) -> tuple:
+    """The integer list ``obj[key]`` (empty when absent), else InvalidParam."""
+    v = obj.get(key, [])
+    if not isinstance(v, list) or not all(type(x) is int for x in v):
+        raise InvalidParam(f"{key} must be a list of integers, got {v!r}")
+    return tuple(v)
+
+
 @dataclass(frozen=True)
 class DeltaParam:
     """head + eventually-constant tail (``tail=k``) or eventually -inf
@@ -90,7 +98,9 @@ class DeltaParam:
     @classmethod
     def from_json(cls, obj: dict) -> "DeltaParam":
         tail = obj.get("tail", "neginf")
-        return cls(tuple(obj.get("head", ())), None if tail == "neginf" else int(tail["const"]))
+        if tail != "neginf" and not (isinstance(tail, dict) and type(tail.get("const")) is int):
+            raise InvalidParam(f'tail must be "neginf" or {{"const": int}}, got {tail!r}')
+        return cls(_json_ints(obj, "head"), None if tail == "neginf" else tail["const"])
 
 
 @dataclass(frozen=True)
@@ -138,11 +148,15 @@ class OmegaParam:
     @classmethod
     def from_json(cls, obj: dict) -> "OmegaParam":
         k = obj.get("k", "neginf")
-        return cls(None if k == "neginf" else int(k), tuple(obj.get("kk", ())), tuple(obj.get("kkp", ())))
+        if k != "neginf" and type(k) is not int:
+            raise InvalidParam(f'k must be "neginf" or an integer, got {k!r}')
+        return cls(None if k == "neginf" else k, _json_ints(obj, "kk"), _json_ints(obj, "kkp"))
 
 
 def param_from_json(obj: dict):
     """Dispatch on the wire schema: Delta payloads carry "head", Omega "kk"."""
+    if not isinstance(obj, dict):
+        raise InvalidParam(f"parameter payload must be a JSON object: {obj!r}")
     if "head" in obj or "tail" in obj:
         return DeltaParam.from_json(obj)
     if "kk" in obj or "kkp" in obj or "k" in obj:

@@ -6,9 +6,13 @@ path) pair keyed into a Philox generator, so any two draws with distinct
 paths are independent and identical paths reproduce identical draws no
 matter how work is scheduled across threads or processes.
 
-Each measure family has one corner draw, :func:`_corner_draws`, with one
-stream per independent variable; ``orbital.measure_charfun_batch`` reads
-its diagonal and :func:`sample_corner` is its one-sample view.
+Every entry of O_F / pi^K is drawn by :func:`_uniform_window`, and each law
+has one batched draw.  Haar measure has :func:`_haar_rows`: the Monte Carlo
+orbital integrals read its first rows, :func:`haar_gl` is its one-sample
+view and :func:`orbital_push` draws its g1 and g2 as two samples of it.
+Each measure family has :func:`_corner_draws`, with one stream per
+independent variable; ``orbital.measure_charfun_batch`` reads its diagonal
+and :func:`sample_corner` is its one-sample view.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .errors import InvalidParam
 from .field import FieldElement, FieldParams, _vp
 from .matrices import MatF
 from .params import DeltaParam, OmegaParam, validate
-from .residue import _det_mod
 
 
 class RandomStream:
@@ -59,57 +62,98 @@ class RandomStream:
 
 
 # ---------------------------------------------------------------------------
-# elementary draws
+# elementary draws and Haar measure on GL(n, O_F)
 # ---------------------------------------------------------------------------
 
 
-def _uniform_below(params: FieldParams, rng: RandomStream, k: int, size=None):
-    """Uniform integers below p^k: one draw while p^k is within the
-    generator's int64 range, else k base-p digits (least significant first)
+def _entry_shape(field: FieldParams, K: int) -> tuple[int, tuple]:
+    """An entry of O_F / pi^K as an array: one integer below p^K over Q_p,
+    K digits mod p on a trailing axis over F_p((t)).  Returns the base of
+    the drawn integers and the trailing axes."""
+    if field.family == "padic":
+        return field.p**K, ()
+    return field.p, (K,)
+
+
+def _uniform_window(field: FieldParams, rng: RandomStream, K: int, size: tuple = ()) -> np.ndarray:
+    """Uniform entries of O_F / pi^K, an array of shape size (+ (K,) over
+    F_p((t))).  Over Q_p one draw below p^K while that is within the
+    generator's int64 range, else K base-p digits (least significant first)
     combined into exact Python integers."""
-    p = params.p
-    if p**k <= 2**63:
-        return rng.integers(p**k, size=size)
-    digits = rng.integers(p, size=(() if size is None else size) + (k,))
-    return digits.astype(object) @ np.array([p**i for i in range(k)], dtype=object)
+    base, tail = _entry_shape(field, K)
+    if base <= 2**63:
+        return rng.integers(base, size=size + tail)
+    digits = rng.integers(field.p, size=size + (K,))
+    return digits.astype(object) @ field.p ** np.arange(K, dtype=object)
+
+
+def _element(field: FieldParams, v) -> FieldElement:
+    """One drawn entry mod pi^precision (an integer over Q_p, its digits over
+    F_p((t))) as a FieldElement; the all-zero window is the exact zero."""
+    return field.from_base_p(int(v)) if field.family == "padic" else field.element(0, v)
 
 
 def uniform_integer(params: FieldParams, rng: RandomStream) -> FieldElement:
     """Haar-uniform element of O_F to the stored precision (all digits
     i.i.d. uniform).  The q^-precision event of an all-zero window is
     returned as the exact zero."""
-    n = params.precision
-    if params.family == "padic":
-        return params.from_base_p(int(_uniform_below(params, rng, n)))
-    digits = [int(d) for d in rng.integers(params.p, size=n)]
-    return params.element(0, digits)
+    return _element(params, _uniform_window(params, rng, params.precision))
 
 
-def _digit_matrix(params: FieldParams, rng: RandomStream, n: int) -> np.ndarray:
-    return rng.integers(params.p, size=(n, n)).astype(np.int64)
+def _pow_mod_vec(base: np.ndarray, e: int, m: int) -> np.ndarray:
+    result = np.ones_like(base)
+    b = base % m
+    while e:
+        if e & 1:
+            result = result * b % m
+        b = b * b % m
+        e >>= 1
+    return result
+
+
+def _haar_rows(stream: RandomStream, field: FieldParams, n: int, r: int, K: int, count: int) -> np.ndarray:
+    """(count, r, n[, K]): the first r rows mod pi^K of ``count`` Haar
+    matrices in GL(n, O_F), uniform on the r x n matrices of full residue
+    rank.  Row k comes from ``stream.child(k)``, redrawn until it is
+    independent mod pi of rows 0..k-1 (nonzero once reduced by their
+    echelon basis mod p), so it does not depend on r.  Entries are int64,
+    Python integers only when p^K exceeds the int64 range."""
+    p = field.p
+    base, tail = _entry_shape(field, K)
+    rows = np.empty((r, count, n) + tail, dtype=np.int64 if base <= 2**63 else object)
+    # echelon row t (mod p) is 0 at the pivots of rows < t; scale[t] inverts its own pivot entry
+    basis = np.empty((r, count, n), dtype=np.int64)
+    pivot, scale = np.empty((2, r, count), dtype=np.int64)
+    for k in range(r):
+        sub = stream.child(k)
+        todo, size = slice(None), count  # the first pass covers every sample
+        while size:
+            rows[k, todo] = draw = _uniform_window(field, sub, K, (size, n))
+            x = draw[..., 0] if tail else draw
+            for t in range(k):
+                lead = x[np.arange(size), pivot[t, todo]] % p * scale[t, todo] % p
+                x = x - lead[:, None] * basis[t, todo]
+            x = (x % p).astype(np.int64, copy=False)  # Python integers past int64 become residues
+            if k + 1 < r:  # later rows reduce against this one
+                basis[k, todo] = x
+                pivot[k, todo] = piv = (x != 0).argmax(axis=1)
+                scale[k, todo] = _pow_mod_vec(x[np.arange(size), piv], p - 2, p)
+            todo = np.arange(count)[todo][~x.any(axis=1)]
+            size = todo.size
+    return rows.swapaxes(0, 1)
+
+
+def _haar_gls(rng: RandomStream, params: FieldParams, n: int, count: int) -> list[MatF]:
+    """``count`` Haar matrices on GL(n, O_F): :func:`_haar_rows` at r = n, window = precision."""
+    draw = _haar_rows(rng, params, n, n, params.precision, count).tolist()
+    return [MatF(params, n, n, [_element(params, v) for row in g for v in row]) for g in draw]
 
 
 def haar_gl(rng: RandomStream, params: FieldParams, n: int) -> MatF:
-    """Haar random matrix on GL(n, O_F): a uniform digit matrix accepted when
-    invertible mod pi (rejection), plus an independent uniform perturbation
-    in pi * Mat(n, O_F)."""
-    while True:
-        t = _digit_matrix(params, rng, n)
-        if _det_mod([list(map(int, row)) for row in t], params.p) != 0:
-            break
-    entries = []
-    if params.family == "padic":
-        rest = _uniform_below(params, rng, params.precision - 1, (n, n))
-        for i in range(n):
-            for j in range(n):
-                entries.append(params.from_base_p(int(t[i, j]) + params.p * int(rest[i, j])))
-    else:
-        rest = rng.integers(params.p, size=(n, n, params.precision - 1))
-        for i in range(n):
-            for j in range(n):
-                digits = [int(t[i, j])] + [int(d) for d in rest[i, j]]
-                entries.append(params.element(0, digits))
-    return MatF(params, n, n, entries)
+    """Haar random matrix on GL(n, O_F): sample 0 of :func:`_haar_gls`, so
+    row k is uniform mod pi^precision among the rows independent mod pi of
+    rows 0..k-1, each row from its own stream ``rng.child(k)``."""
+    return _haar_gls(rng, params, n, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +171,7 @@ def _corner_draws(field: FieldParams, param, n: int, count: int, window: int, st
     "z" (resp. "h"), or None for a -inf tail."""
 
     def draw(*path, shape=(n,)):
-        sub, size = stream.child(*path), (count,) + shape
-        if field.family == "padic":
-            return _uniform_below(field, sub, window, size)
-        return sub.integers(field.p, size=size + (window,))
+        return _uniform_window(field, stream.child(*path), window, (count,) + shape)
 
     if isinstance(param, DeltaParam):
         terms = [(k, 1, draw("x", t), draw("y", t)) for t, k in enumerate(param.head)]
@@ -233,11 +274,10 @@ KIND_CONGRUENCE = "congruence"
 
 def orbital_push(X: MatF, kind: str, rng: RandomStream) -> MatF:
     """One draw from the orbital measure generated by X: g1 X g2 under the
-    two-sided action, g X g^t under congruence."""
+    two-sided action (g1, g2 two samples of one Haar draw), g X g^t under congruence."""
     n = X.rows
     if kind == KIND_TWO_SIDED:
-        g1 = haar_gl(rng.child("g1"), X.params, n)
-        g2 = haar_gl(rng.child("g2"), X.params, n)
+        g1, g2 = _haar_gls(rng.child("g"), X.params, n, 2)
         return g1 @ X @ g2
     if kind == KIND_CONGRUENCE:
         g = haar_gl(rng.child("g"), X.params, n)

@@ -230,6 +230,16 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "no-such-command")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "kind, payload",
+    [("mu", '{"head": [1], "tail": null}'), ("nu", '{"k": "neginf", "kk": [0.5], "kkp": []}')],
+)
+def test_malformed_param_is_one_error_line(capsys, kind, payload):
+    code, out, err = run(capsys, "sample", "--kind", kind, "--param", payload, "--n", "2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "InvalidParam" in err
+
+
 def test_sample_requires_min_count_invariant(capsys):
     # n_samples floor applies to MC subcommands (verify/converge)
     code, _, _ = run(capsys, "converge", "--param", '{"head": [], "tail": {"const": 0}}', "--samples", "50")

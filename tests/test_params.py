@@ -49,6 +49,27 @@ def test_param_json_roundtrip():
     assert param_from_json({"head": [1], "tail": "neginf"}) == DeltaParam((1,), None)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"head": [1], "tail": None},
+        {"head": [1], "tail": {"const": "0"}},
+        {"head": [1], "tail": 0},
+        {"head": [1.5]},
+        {"head": [True]},
+        {"head": 3},
+        {"k": "x", "kk": [0]},
+        {"k": 0.5},
+        {"kk": [0, "a"]},
+        {"kkp": None},
+        [1, 2],
+    ],
+)
+def test_malformed_param_payloads_are_invalid(payload):
+    with pytest.raises(InvalidParam):
+        param_from_json(payload)
+
+
 # -- characteristic function of the two-sided family ------------------------------
 
 

@@ -25,6 +25,7 @@ from nonarch.sampling import (
     KIND_TWO_SIDED,
     RandomStream,
     _corner_draws,
+    _haar_rows,
     haar_gl,
     orbital_push,
     sample_corner,
@@ -108,11 +109,76 @@ def test_haar_unit_residue_uniform(q3):
     assert abs(freq[1] / count - 0.5) <= 3 * sigma
 
 
+def _digits(x, k):
+    """The first k base-pi digits of x in O_F."""
+    d = [] if x.is_zero() else [0] * x.ord + list(x.digits)
+    return (d + [0] * k)[:k]
+
+
+def _rows_as_matrix(field, g):
+    """One (n, n[, precision]) draw of _haar_rows as a MatF."""
+    if field.family == "padic":
+        entries = [field.from_base_p(int(v)) for v in g.reshape(-1)]
+    else:
+        entries = [field.element(0, list(v)) for v in g.reshape(-1, field.precision)]
+    return MatF(field, g.shape[0], g.shape[1], entries)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["padic", "laurent"]),
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_haar_gl_is_the_view_of_haar_rows(family, p, precision, n, seed):
+    field = FieldParams(family, p, precision)
+    stream = RandomStream(seed).child("g")
+    rows = _haar_rows(stream, field, n, n, precision, 1)[0]
+    assert haar_gl(stream, field, n) == _rows_as_matrix(field, rows)
+
+
+def test_haar_gl_draws_pinned():
+    # recorded when haar_gl became the view of _haar_rows
+    q = FieldParams("padic", 3, 4)
+    expected = [[73, 72], [64, 46]]
+    assert haar_gl(RandomStream(7).child("g"), q, 2) == MatF.from_rows(q, [[q.from_base_p(v) for v in r] for r in expected])
+    big = FieldParams("padic", 5, 30)
+    expected = [
+        [879398063810220879373, 541650930372873067148],
+        [26277742520181795531, 61247403731223554969],
+    ]
+    assert haar_gl(RandomStream(7).child("g"), big, 2) == MatF.from_rows(big, [[big.from_base_p(v) for v in r] for r in expected])
+    l = FieldParams("laurent", 3, 3)
+    expected = [[[2, 2, 2], [2, 0, 0]], [[2, 2, 0], []]]
+    assert haar_gl(RandomStream(7).child("g"), l, 2) == MatF.from_rows(l, [[l.element(0, d) for d in r] for r in expected])
+
+
+@pytest.mark.parametrize("family", ["padic", "laurent"])
+def test_haar_second_digit_uniform_given_residue(family):
+    # digit 1 of each entry is uniform whatever the residue matrix: chi-square
+    # of the (digit 0, digit 1) table against uniform rows, 6 degrees of
+    # freedom, 0.1 % critical value 22.46
+    field = FieldParams(family, 3, 12)
+    rng = RandomStream(19)
+    table = [[0] * 3 for _ in range(3)]
+    for i in range(2000):
+        for x in haar_gl(rng.child(i), field, 2).entries:
+            d0, d1 = _digits(x, 2)
+            table[d0][d1] += 1
+    stat = 0.0
+    for row in table:
+        expected = sum(row) / 3
+        stat += sum((c - expected) ** 2 / expected for c in row)
+    assert stat < 22.46
+
+
 def test_rejection_acceptance_rate_matches_volume():
     field = FieldParams("padic", 2, 8)
     expected = float(counting(2, 1, 2)[2])  # 3/8
     attempts = 100_000
-    # the digit matrices the Haar samplers draw, tested as they test them
+    # uniform residue matrices, tested as the exact oracle filters them
     mats = RandomStream(17).child("acc").integers(field.p, size=(attempts, 2, 2))
     ok = int(invertible_mask(mats, field.p).sum())
     sigma = math.sqrt(expected * (1 - expected) / attempts)
@@ -363,6 +429,20 @@ def test_push_preserves_singular_numbers(q3):
     rng = RandomStream(43)
     for i in range(10):
         assert singular_numbers(orbital_push(X, KIND_TWO_SIDED, rng.child(i))) == (1, 0, -2)
+
+
+@pytest.mark.parametrize("spec", [("padic", 3, 12), ("laurent", 3, 6)])
+def test_push_draws_are_one_haar_draw(spec):
+    # g1 and g2 of a two-sided push are samples 0 and 1 of one draw; the
+    # congruence push reads sample 0 of a draw on the same path
+    field = FieldParams(*spec)
+    X = MatF.diagonal(field, [field.uniformizer_pow(-1), field.from_int(2), field.uniformizer_pow(2)])
+    rng = RandomStream(53)
+    g1, g2 = (_rows_as_matrix(field, g) for g in _haar_rows(rng.child("g"), field, 3, 3, field.precision, 2))
+    assert g1 != g2
+    assert orbital_push(X, KIND_TWO_SIDED, rng) == g1 @ X @ g2
+    g = haar_gl(rng.child("g"), field, 3)
+    assert orbital_push(X, KIND_CONGRUENCE, rng) == g @ X @ g.transpose()
 
 
 def test_congruence_push_preserves_symmetry_and_classes(q3):

@@ -9,14 +9,14 @@ SEED = 20260811
 
 
 def test_decompositions_reports_exhausted_push():
-    # push 15 of the default-seed suite base over Q_3 runs out of digits
+    # push 147 of the default-seed suite base over Q_3 runs out of digits
     field = FieldParams("padic", 3, 12)
     rng = RandomStream(1).child("decompositions").child("dec", field.spec_string())
-    suite = verify_decompositions(field, rng, count=1, push_count=16)
+    suite = verify_decompositions(field, rng, count=1, push_count=148)
     failed = [row["label"] for row in suite.rows if not row["pass"]]
-    assert failed == ["two-sided push 15: precision exhausted at certified ord 9"]
+    assert failed == ["two-sided push 147: precision exhausted at certified ord 9"]
     assert not suite.passed
-    assert any(row["label"] == "Sing invariant under 15 two-sided pushes" and row["pass"] for row in suite.rows)
+    assert any(row["label"] == "Sing invariant under 147 two-sided pushes" and row["pass"] for row in suite.rows)
 
 
 def test_measure_charfun_batched_over_laurent():
