@@ -33,7 +33,7 @@ from .field import (
     square_class,
     square_class_label,
 )
-from .matrices import MatF, SNFResult, SymDiagResult, singular_numbers, smith_normal_form, sym_diagonalize
+from .matrices import AtMost, MatF, SNFResult, SymDiagResult, singular_numbers, smith_normal_form, sym_diagonalize
 from .orbital import (
     BoundReport,
     ErrorBounds,

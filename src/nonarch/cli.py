@@ -17,7 +17,7 @@ import sys
 from . import verification
 from .errors import NonArchError
 from .field import FieldElement, FieldParams, parse_field_spec
-from .matrices import MatF, smith_normal_form, sym_diagonalize
+from .matrices import AtMost, MatF, smith_normal_form, sym_diagonalize
 from .orbital import convergence_experiment
 from .params import DeltaParam, convolve, param_from_json
 from .residue import gauss_sum
@@ -199,13 +199,19 @@ def _cmd_theta(args, field: FieldParams):
     return 0
 
 
+def _exponent_json(s):
+    if isinstance(s, AtMost):
+        return {"at_most": s.k}
+    return None if s == float("-inf") else int(s)
+
+
 def _cmd_snf(args, field: FieldParams):
     A = MatF.from_json(field, _load_json_arg(args.matrix))
     res = smith_normal_form(A)
     _emit(
         args,
         {
-            "sing": [None if s == float("-inf") else int(s) for s in res.sing],
+            "sing": [_exponent_json(s) for s in res.sing],
             "a": res.a.to_json(),
             "b": res.b.to_json(),
             "recomposes": res.recompose().agrees(A),

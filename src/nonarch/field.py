@@ -103,11 +103,6 @@ class FieldParams:
             raise DyadicField(f"{what} requires an odd residue characteristic")
 
     @property
-    def zero_ord_threshold(self) -> int:
-        """Valuation above which a fully-cancelled window may be treated as 0."""
-        return self.precision - 2
-
-    @property
     def nonsquare_unit_digit(self) -> int:
         """Smallest digit in {2,...,p-1} that is a nonsquare mod p."""
         self.require_nondyadic("a nonsquare unit")

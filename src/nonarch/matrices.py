@@ -1,10 +1,23 @@
 """Dense matrices over the field: Smith normal form over the valuation ring
 (singular numbers) and symmetric congruence diagonalization, both with
-recomposition witnesses in GL(n, O_F).
+recomposition witnesses in GL(n, O_F), and the determinant.
 
-Elimination entries that cancel to the full digit window are replaced by an
-exact zero only when the certified valuation clears the zero threshold
-(precision - 2); otherwise PrecisionExhausted propagates to the caller.
+One elimination rule serves all three.  Every update goes through
+:func:`add_lenient`, so an entry whose window cancels becomes the certified
+vanishing value O(pi^g).  A vanishing entry is never a pivot: the pivot is a
+visible entry of least ord, and only one whose ord is at most the least
+certified g in the remaining block, so every multiplier lies in O_F and
+every visible digit stays certified.  A multiplier that is itself O(pi^g)
+still updates the block, so the bound spreads, but leaves the witnesses
+alone, where it stands for 0.  Elimination stops when no entry qualifies;
+the remaining block then lies in pi^g O_F.
+
+* ``smith_normal_form`` reports each exponent of that block as the
+  certified bound ``AtMost(-g)`` in ``sing``;
+* ``MatF.det`` is the signed product of the pivots, a vanishing O(pi^h)
+  when a block is left;
+* ``sym_diagonalize`` cannot report a bound yet: it takes the block as zero
+  when g > precision - 2 and raises PrecisionExhausted otherwise.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ from dataclasses import dataclass
 
 from collections import defaultdict
 from functools import lru_cache
+from operator import ge, gt, le, lt
 
 from .errors import (
     DimensionMismatch,
@@ -140,35 +154,17 @@ class MatF:
         return acc
 
     def det(self) -> FieldElement:
-        """Determinant by Gaussian elimination with maximal-|.| pivoting."""
+        """Signed product of the pivots of the Smith elimination; an unresolved
+        m x m block lying in pi^g O_F contributes the vanishing factor
+        O(pi^(m*g))."""
         if self.rows != self.cols:
             raise DimensionMismatch("det needs a square matrix")
-        n = self.rows
-        w = [[_resolve_entry(e, self.params) for e in row] for row in self.to_lists()]
+        pivots, sign, bound, _, _ = _smith(self)
         acc = self.params.one()
-        sign = 1
-        for k in range(n):
-            piv = _argmin_ord(w, k, n)
-            if piv is None:
-                return self.params.zero()
-            i0, j0 = piv
-            if i0 != k:
-                w[k], w[i0] = w[i0], w[k]
-                sign = -sign
-            if j0 != k:
-                for r in range(n):
-                    w[r][k], w[r][j0] = w[r][j0], w[r][k]
-                sign = -sign
-            pivot = w[k][k]
+        for pivot in pivots:
             acc = acc * pivot
-            inv = pivot.inverse()
-            for i in range(k + 1, n):
-                if w[i][k].is_zero():
-                    continue
-                f = w[i][k] * inv
-                w[i][k] = self.params.zero()
-                for j in range(k + 1, n):
-                    w[i][j] = _sub_entry(w[i][j], f * w[k][j], self.params)
+        if len(pivots) < self.rows:
+            acc = acc * FieldElement(self.params, (self.rows - len(pivots)) * bound, None, 0)
         return acc if sign == 1 else -acc
 
     # -- GL membership ----------------------------------------------------------
@@ -214,26 +210,6 @@ class MatF:
 # ---------------------------------------------------------------------------
 
 
-def _sub_entry(a: FieldElement, b: FieldElement, params: FieldParams) -> FieldElement:
-    """a - b, substituting an exact zero when the whole window cancels with a
-    certified valuation beyond the zero threshold."""
-    try:
-        return a - b
-    except PrecisionExhausted as exc:
-        if exc.guaranteed_ord is not None and exc.guaranteed_ord > params.zero_ord_threshold:
-            return params.zero()
-        raise
-
-
-def _add_entry(a: FieldElement, b: FieldElement, params: FieldParams) -> FieldElement:
-    try:
-        return a + b
-    except PrecisionExhausted as exc:
-        if exc.guaranteed_ord is not None and exc.guaranteed_ord > params.zero_ord_threshold:
-            return params.zero()
-        raise
-
-
 def add_lenient(a: FieldElement, b: FieldElement) -> FieldElement:
     """a + b, turning a fully-cancelled window into the certified vanishing
     value O(pi^g) instead of raising.  Sound inside accumulations: the bound
@@ -244,29 +220,21 @@ def add_lenient(a: FieldElement, b: FieldElement) -> FieldElement:
         return FieldElement(a.params, exc.guaranteed_ord, None, 0)
 
 
-def _resolve_entry(e: FieldElement, params: FieldParams) -> FieldElement:
-    """Decompositions need every entry either visible or exactly zero; a
-    vanishing entry is taken as zero when its certified valuation clears the
-    threshold, and is a precision failure otherwise."""
-    if not e.is_vanishing():
-        return e
-    if e.ord > params.zero_ord_threshold:
-        return params.zero()
-    raise PrecisionExhausted("entry not resolved at working precision", guaranteed_ord=e.ord)
-
-
-def _argmin_ord(w, k: int, n: int):
-    """Position (i, j), i,j >= k, of the entry of maximal |.| (minimal ord);
-    lexicographically smallest on ties; None when the block is zero."""
-    best = None
-    best_ord = ORD_INF
+def _pivot(w, k: int, n: int):
+    """(position, ord) of the pivot of the block w[k:, k:]: its first visible
+    entry of least ord, provided that ord is at most the least certified g
+    of the block's vanishing entries.  Without one the position is None and
+    the ord is that g (ORD_INF for an exactly zero block): the whole block
+    then lies in pi^g O_F."""
+    best, lo, g = None, ORD_INF, ORD_INF
     for i in range(k, n):
         for j in range(k, n):
             e = w[i][j]
-            if not e.is_zero() and e.ord < best_ord:
-                best_ord = e.ord
-                best = (i, j)
-    return best
+            if e.unit is None:
+                g = min(g, e.ord)
+            elif e.ord < lo:
+                lo, best = e.ord, (i, j)
+    return (best, lo) if lo <= g else (None, g)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +243,26 @@ def _argmin_ord(w, k: int, n: int):
 
 
 @dataclass(frozen=True)
+class AtMost:
+    """A certified bound in ``sing``: the exponent is some value <= k, -inf
+    (a zero singular value) included.  It orders as k."""
+
+    k: int
+
+    def __contains__(self, x) -> bool:
+        return x <= self.k
+
+    __lt__, __le__, __gt__, __ge__ = (
+        lambda self, other, op=op: op(self.k, getattr(other, "k", other)) for op in (lt, le, gt, ge)
+    )
+
+
+@dataclass(frozen=True)
 class SNFResult:
     """A = a * diag(pi^-k_1, ..., pi^-k_n) * b with a, b in GL(n, O_F) and the
-    non-increasing singular exponents ``sing`` (k_i = -inf encodes a zero)."""
+    non-increasing singular exponents ``sing`` (k_i = -inf encodes a zero; a
+    tail the precision cannot resolve is reported as AtMost(k), and its
+    diagonal entries are O(pi^-k))."""
 
     a: MatF
     sing: tuple
@@ -285,38 +270,47 @@ class SNFResult:
 
     def diagonal(self) -> MatF:
         params = self.a.params
-        diag = [params.zero() if k == NEG_INF else params.uniformizer_pow(-int(k)) for k in self.sing]
+        diag = [
+            FieldElement(params, -k.k, None, 0) if isinstance(k, AtMost)
+            else params.zero() if k == NEG_INF
+            else params.uniformizer_pow(-int(k))
+            for k in self.sing
+        ]
         return MatF.diagonal(params, diag)
 
     def recompose(self) -> MatF:
         return self.a @ self.diagonal() @ self.b
 
 
-def smith_normal_form(A: MatF) -> SNFResult:
-    """Diagonalize by two-sided GL(O_F) moves: pivot on a maximal-|.| entry,
-    move it to the corner and clear its row and column with unit multipliers
-    (every quotient by the pivot lies in O_F), then recurse."""
-    if A.rows != A.cols:
-        raise DimensionMismatch("square matrices only")
+def _smith(A: MatF):
+    """Two-sided elimination of A on the one rule: move the pivot to the
+    corner and clear its row and column with multipliers in O_F, then
+    recurse.  Returns the pivots, the sign of the row and column swaps, the
+    certified g of the unresolved block (ORD_INF when none is left) and the
+    witnesses a and b as row lists: a * W * b agrees with A for the working
+    matrix W at every step."""
     params, n = A.params, A.rows
-    w = [[_resolve_entry(e, params) for e in row] for row in A.to_lists()]
+    w = A.to_lists()
     a = MatF.identity(params, n).to_lists()
     b = MatF.identity(params, n).to_lists()
-    sing: list = [NEG_INF] * n
+    pivots, sign = [], 1
     for k in range(n):
-        piv = _argmin_ord(w, k, n)
+        piv, bound = _pivot(w, k, n)
         if piv is None:
             break
         i0, j0 = piv
         if i0 != k:
             w[k], w[i0] = w[i0], w[k]
+            sign = -sign
             for r in range(n):  # a <- a * P swaps columns k, i0
                 a[r][k], a[r][i0] = a[r][i0], a[r][k]
         if j0 != k:
             for r in range(n):
                 w[r][k], w[r][j0] = w[r][j0], w[r][k]
+            sign = -sign
             b[k], b[j0] = b[j0], b[k]
         pivot = w[k][k]
+        pivots.append(pivot)
         inv = pivot.inverse()
         for i in range(k + 1, n):
             if w[i][k].is_zero():
@@ -324,22 +318,35 @@ def smith_normal_form(A: MatF) -> SNFResult:
             f = w[i][k] * inv
             w[i][k] = params.zero()
             for j in range(k + 1, n):
-                w[i][j] = _sub_entry(w[i][j], f * w[k][j], params)
-            for r in range(n):  # a <- a * (I + f e_{ik}): col k += f * col i
-                a[r][k] = a[r][k] + f * a[r][i]
+                w[i][j] = add_lenient(w[i][j], -(f * w[k][j]))
+            if f.unit is not None:  # a vanishing f stands for 0
+                for r in range(n):  # a <- a * (I + f e_{ik}): col k += f * col i
+                    a[r][k] = add_lenient(a[r][k], f * a[r][i])
         for j in range(k + 1, n):
-            if w[k][j].is_zero():
+            if w[k][j].unit is None:  # zero, or vanishing: stands for 0
                 continue
             g = w[k][j] * inv
-            w[k][j] = params.zero()
             for r in range(n):  # b <- (I + g e_{kj}) b: row k += g * row j
-                b[k][r] = b[k][r] + g * b[j][r]
-        sing[k] = -pivot.ord
-        # fold the pivot's unit part into a: column k of a times unit
+                b[k][r] = add_lenient(b[k][r], g * b[j][r])
+    else:
+        bound = ORD_INF
+    return pivots, sign, bound, a, b
+
+
+def smith_normal_form(A: MatF) -> SNFResult:
+    """Diagonalize by two-sided GL(O_F) moves (see the module docstring for
+    the elimination rule) and fold each pivot's unit part into a."""
+    if A.rows != A.cols:
+        raise DimensionMismatch("square matrices only")
+    params, n = A.params, A.rows
+    pivots, _, bound, a, b = _smith(A)
+    for k, pivot in enumerate(pivots):
         unit = pivot.shift(-pivot.ord)
         for r in range(n):
             a[r][k] = a[r][k] * unit
-    return SNFResult(MatF.from_rows(params, a), tuple(sing), MatF.from_rows(params, b))
+    tail = NEG_INF if bound == ORD_INF else AtMost(-bound)
+    sing = tuple(-pivot.ord for pivot in pivots) + (tail,) * (n - len(pivots))
+    return SNFResult(MatF.from_rows(params, a), sing, MatF.from_rows(params, b))
 
 
 def singular_numbers(A: MatF) -> tuple:
@@ -370,15 +377,6 @@ class SymDiagResult:
         return tuple(square_class_label(x) for x in self.diag_entries)
 
 
-def _diag_argmin(w, k: int, n: int):
-    best, best_ord = None, ORD_INF
-    for i in range(k, n):
-        e = w[i][i]
-        if not e.is_zero() and e.ord < best_ord:
-            best_ord, best = e.ord, i
-    return best, best_ord
-
-
 @lru_cache(maxsize=None)
 def _eps_sum_of_squares(params: FieldParams) -> tuple[FieldElement, FieldElement]:
     """(a, b) with a^2 + b^2 = eps; exists for every odd p because the circle
@@ -396,11 +394,13 @@ def _eps_sum_of_squares(params: FieldParams) -> tuple[FieldElement, FieldElement
 
 
 def sym_diagonalize(A: MatF) -> SymDiagResult:
-    """Congruence diagonalization: bring a maximal-|.| entry to the diagonal
-    (adding one row/column pair to another when only an off-diagonal entry
-    attains the maximum, which keeps the value since |2| = 1), clear the
-    first row and column by the Schur-complement move, recurse, and reduce
-    the diagonal to square-class representatives."""
+    """Congruence diagonalization on the one elimination rule: bring the
+    pivot to the diagonal (adding one row/column pair to another when only
+    an off-diagonal entry attains its ord, which keeps the value since
+    |2| = 1), clear the first row and column by the Schur-complement move,
+    recurse, and reduce the diagonal to square-class representatives.  An
+    unresolved block lying in pi^g O_F is taken as zero when g clears
+    precision - 2, and raises PrecisionExhausted otherwise."""
     params = A.params
     params.require_nondyadic("symmetric diagonalization")
     if A.rows != A.cols:
@@ -408,29 +408,29 @@ def sym_diagonalize(A: MatF) -> SymDiagResult:
     if not A.is_symmetric():
         raise NotSymmetric("input must equal its transpose exactly")
     n = A.rows
-    w = [[_resolve_entry(e, params) for e in row] for row in A.to_lists()]
+    w = A.to_lists()
     g = MatF.identity(params, n).to_lists()
 
     def g_colop(dst: int, src: int, f: FieldElement):
         # g <- g * (I + f e_{src,dst}) : col dst += f * col src
         for r in range(n):
-            g[r][dst] = g[r][dst] + f * g[r][src]
+            g[r][dst] = add_lenient(g[r][dst], f * g[r][src])
 
     for k in range(n):
-        piv = _argmin_ord(w, k, n)
+        piv, bound = _pivot(w, k, n)
         if piv is None:
             break
-        i0, j0 = piv
-        min_ord = w[i0][j0].ord
-        di, diag_ord = _diag_argmin(w, k, n)
-        if di is None or diag_ord > min_ord:
-            # off-diagonal maximum: W <- E W E^t with E = I + e_{i0 j0}
-            i, j = i0, j0
+        di = next((i for i in range(k, n) if w[i][i].unit is not None and w[i][i].ord == bound), None)
+        if di is None:
+            # off-diagonal pivot: W <- E W E^t with E = I + e_{i0 j0}
+            i, j = piv
             for r in range(n):
-                w[i][r] = _add_entry(w[i][r], w[j][r], params)
+                w[i][r] = add_lenient(w[i][r], w[j][r])
             for r in range(n):
-                w[r][i] = _add_entry(w[r][i], w[r][j], params)
+                w[r][i] = add_lenient(w[r][i], w[r][j])
             g_colop(j, i, -params.one())  # g <- g * E^{-1} = g * (I - e_{ij})
+            if w[i][i].unit is None:  # 2 w_ij cancelled against O(pi^bound)
+                break
             di = i
         # move the chosen diagonal pivot to position (k, k)
         if di != k:
@@ -439,23 +439,27 @@ def sym_diagonalize(A: MatF) -> SymDiagResult:
                 w[r][k], w[r][di] = w[r][di], w[r][k]
             for r in range(n):
                 g[r][k], g[r][di] = g[r][di], g[r][k]
-        x = w[k][k]
-        inv = x.inverse()
-        factors = [params.zero() if w[i][k].is_zero() else w[i][k] * inv for i in range(k + 1, n)]
+        inv = w[k][k].inverse()
+        factors = [w[i][k] * inv for i in range(k + 1, n)]
         # Schur step: after the row pass row_i -= f_i * row_k the eliminated
         # column is zero, so the matching column pass is a no-op on the block.
-        for idx, i in enumerate(range(k + 1, n)):
-            f = factors[idx]
-            if f.is_zero():
-                continue
-            for j in range(k + 1, n):
-                w[i][j] = _sub_entry(w[i][j], f * w[k][j], params)
-        for i in range(k + 1, n):  # exact zeros by construction
-            w[i][k] = params.zero()
-            w[k][i] = params.zero()
-        for idx, i in enumerate(range(k + 1, n)):
-            if not factors[idx].is_zero():
-                g_colop(k, i, factors[idx])
+        for f, i in zip(factors, range(k + 1, n)):
+            if not f.is_zero():
+                for j in range(k + 1, n):
+                    w[i][j] = add_lenient(w[i][j], -(f * w[k][j]))
+        for f, i in zip(factors, range(k + 1, n)):
+            w[i][k] = w[k][i] = params.zero()
+            if f.unit is not None:  # a vanishing f stands for 0
+                g_colop(k, i, f)
+    else:
+        k = n
+    # Square classes cannot carry O(pi^g) yet, so an unresolved block is
+    # taken as zero once its certified g clears precision - 2.
+    if k < n:
+        if bound <= params.precision - 2:
+            raise PrecisionExhausted("symmetric block not resolved at working precision", guaranteed_ord=bound)
+        for i in range(k, n):
+            w[i][i] = params.zero()
 
     diag = [w[i][i] for i in range(n)]
     reps = []

@@ -38,9 +38,9 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import KIND_BILINEAR, KIND_SQUARE, CharValue, charvalue_product, chi, theta_closed
-from .errors import DimensionMismatch, LevelTooLow, PrecisionExhausted, TooLarge
+from .errors import DimensionMismatch, LevelTooLow, TooLarge
 from .field import FieldElement, FieldParams
-from .matrices import MatF
+from .matrices import MatF, add_lenient
 from .params import DeltaParam, OmegaParam
 from .sampling import KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream, _corner_draws, _entry_shape, _haar_rows, _pow_mod_vec
 
@@ -524,22 +524,13 @@ def empirical_charfun(samples, A: MatF) -> McEstimate:
 
 
 def _chi_trace(A: MatF, M: MatF) -> complex:
-    """chi(tr(A M)); a partial sum cancelling its whole window with certified
-    ord >= 0 lies in O_F, where chi is trivial, so it may be dropped."""
-    params = M.params
-    t = params.zero()
+    """chi(tr(A M)); a sum cancelled to O(pi^g) with g >= 0 lies in O_F,
+    where chi is 1, and one cancelled below ord 0 raises in chi."""
+    t = M.params.zero()
     for i in range(A.rows):
         for j in range(A.cols):
-            a = A[i, j]
-            if a.is_zero():
-                continue
-            term = a * M[j, i]
-            try:
-                t = t + term
-            except PrecisionExhausted as exc:
-                if exc.guaranteed_ord is None or exc.guaranteed_ord < 0:
-                    raise
-                t = params.zero()
+            if not A[i, j].is_zero():
+                t = add_lenient(t, A[i, j] * M[j, i])
     return chi(t)
 
 

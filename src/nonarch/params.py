@@ -260,19 +260,6 @@ def canonicalize_omega(k: int | None, kk_raw: Sequence[int], kkp_raw: Sequence[i
     return OmegaParam(k, tuple(sorted(kk, reverse=True)), tuple(sorted(kkp_new, reverse=True)))
 
 
-def char_nu_raw(field: FieldParams, k: int | None, kk: Sequence[int], kkp: Sequence[int], x: FieldElement) -> CharValue:
-    """Characteristic-function value of a possibly non-canonical (k, kk, kkp)
-    triple, evaluated directly as the indicator times the kernel products.
-    Used to certify that canonicalization preserves the measure."""
-    field.require_nondyadic("the symmetric family")
-    if k is not None and not x.is_zero() and x.ord - k < 0:
-        return CharValue.zero()
-    eps = field.eps()
-    factors = [theta_closed(x.shift(-int(kn)), KIND_SQUARE) for kn in kk]
-    factors += [theta_closed((x * eps).shift(-int(kn)), KIND_SQUARE) for kn in kkp]
-    return charvalue_product(factors)
-
-
 # ---------------------------------------------------------------------------
 # constructive uniqueness
 # ---------------------------------------------------------------------------

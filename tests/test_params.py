@@ -8,7 +8,6 @@ from nonarch.params import (
     DeltaParam,
     OmegaParam,
     canonicalize_omega,
-    char_nu_raw,
     convolve,
     distinguishing_argument,
     param_from_json,
@@ -195,7 +194,7 @@ def test_canonicalize_preserves_char(q3):
     ok, _ = validate(canon)
     assert ok
     for x in probe_grid(q3):
-        assert char_nu_raw(q3, raw_k, raw_kk, raw_kkp, x) == canon.char_single(x)
+        assert OmegaParam(raw_k, raw_kk, raw_kkp).char_single(x) == canon.char_single(x)
 
 
 # -- uniqueness ----------------------------------------------------------------------

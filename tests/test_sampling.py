@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonarch.errors import InsufficientPrecision
 from nonarch.field import FieldParams
 from nonarch.characters import chi
 from nonarch.matrices import MatF, add_lenient, singular_numbers, sym_diagonalize
@@ -222,6 +223,20 @@ def test_empirical_charfun_of_zero_samples(q3):
     est = empirical_charfun(samples, MatF.diagonal(q3, [q3.uniformizer_pow(-1), q3.zero()]))
     assert est.mean == pytest.approx(1.0)
     assert est.stderr == 0.0
+
+
+def test_empirical_charfun_of_a_cancelled_trace():
+    # tr(A M) = x - x cancels to O(pi^g): chi is 1 when g >= 0, and the
+    # negative-power digits are unknown when g < 0
+    def cancelled(field):
+        x = field.uniformizer_pow(-3)
+        M = MatF.from_rows(field, [[x, field.zero()], [-x, field.zero()]])
+        A = MatF.from_rows(field, [[field.one(), field.one()], [field.zero(), field.zero()]])
+        return empirical_charfun([M], A)
+
+    assert cancelled(FieldParams("padic", 3, 12)).mean == pytest.approx(1.0)
+    with pytest.raises(InsufficientPrecision):
+        cancelled(FieldParams("padic", 3, 2))
 
 
 def test_nu_corner_single_factor_charfun(q3):
