@@ -1,7 +1,8 @@
 """Exact truncated arithmetic in Q_p and F_p((t)).
 
 Elements carry an exact valuation and a window of known digits; addition
-that cancels the whole window refuses to invent digits.
+that cancels the whole window refuses to invent digits and returns the
+certified vanishing value O(pi^g) instead.
 """
 
 from nonarch import FieldParams, hensel_sqrt, square_class
@@ -15,6 +16,8 @@ print("1/2 =", q3.from_int(2).inverse().digits, " (2 + 3 + 9 + ... )")
 
 s = q3.one() + q3.from_int(2)
 print("1 + 2 carries into valuation", s.ord, "with digits", s.digits[:4])
+
+print("7 - 7 =", q3.from_int(7) - q3.from_int(7), " (all 12 digits cancel)")
 
 pi_m2 = q3.uniformizer_pow(-2)
 print("|pi^-2| =", (pi_m2.ord, pi_m2.abs_q()))

@@ -9,9 +9,11 @@ Two families are supported, both with prime residue field F_p:
 A nonzero element is stored as ``pi^ord * unit`` where the unit part carries
 ``rel`` known digits (1 <= rel <= precision) with nonzero leading digit, so
 the valuation is always exact (capped-relative semantics).  Addition that
-cancels the entire digit window raises :class:`PrecisionExhausted` carrying a
-certified lower bound on the valuation of the true result; nothing is ever
-silently padded.
+cancels the entire digit window returns the certified vanishing value
+O(pi^g), whose g is a lower bound on the valuation of the true result;
+nothing is ever silently padded.  Reading a digit of O(pi^g) (its inverse,
+leading digit, residue below ord 1, absolute value or square class) raises
+:class:`PrecisionExhausted` carrying g.
 
 Storage and cost: a Q_p unit is an int below p^rel, so each operation is a
 few big-int operations.  An F_p((t)) unit is a tuple of rel digits; products
@@ -206,10 +208,8 @@ class FieldElement:
     Besides ordinary elements and the exact zero there is a third state, a
     *certified vanishing* value ``O(pi^g)`` (``unit is None``, ``rel == 0``,
     ``ord == g``): everything known is that the value lies in pi^g O_F.
-    Plain ``+`` never produces it (full cancellation raises
-    PrecisionExhausted); it arises only from the lenient accumulation used
-    inside matrix products and samplers, where a transiently cancelled
-    partial sum is sound to carry as a residual bound.
+    ``+`` returns it when a sum cancels its whole digit window; the bound
+    survives later sums and products.
     """
 
     __slots__ = ("params", "ord", "unit", "rel")
@@ -307,7 +307,7 @@ class FieldElement:
         if prm.family == "padic":
             s = (lo.unit + hi.unit * prm._pow_p[off]) % prm._pow_p[w] if off < w else lo.unit
             if s == 0:
-                raise PrecisionExhausted(guaranteed_ord=v + w)
+                return FieldElement(prm, v + w, None, 0)
             t = _vp(s, p)
             return FieldElement(prm, v + t, s // prm._pow_p[t], w - t)
         coeffs = lo.unit[:off] + tuple([(a + b) % p for a, b in zip(lo.unit[off:w], hi.unit)])
@@ -315,7 +315,7 @@ class FieldElement:
             return FieldElement(prm, v, coeffs, w)
         lead = next((i for i, c in enumerate(coeffs) if c != 0), None)
         if lead is None:
-            raise PrecisionExhausted(guaranteed_ord=v + w)
+            return FieldElement(prm, v + w, None, 0)
         return FieldElement(prm, v + lead, coeffs[lead:], w - lead)
 
     def __neg__(self) -> "FieldElement":
@@ -369,24 +369,10 @@ class FieldElement:
     # -- comparisons at available precision ---------------------------------
     def agrees(self, other: "FieldElement") -> bool:
         """True when the two elements coincide on the overlap of their known
-        digit windows.  A vanishing value O(pi^g) agrees with anything of
-        valuation >= g (including zero); an exact zero and a visible value
-        never agree."""
-        self._check_same(other)
-        if self.is_vanishing() or other.is_vanishing():
-            if self.is_vanishing() and other.is_vanishing():
-                return True
-            hidden, rest = (self, other) if self.is_vanishing() else (other, self)
-            return rest.is_zero() or rest.ord >= hidden.ord
-        if self.is_zero() and other.is_zero():
-            return True
-        if self.is_zero() or other.is_zero():
-            return False
-        try:
-            self - other
-        except PrecisionExhausted:
-            return True
-        return False
+        digit windows, i.e. their difference shows no digit.  A vanishing
+        value O(pi^g) agrees with anything of valuation >= g (including
+        zero); an exact zero and a visible value never agree."""
+        return (self - other).unit is None
 
     # -- queries used throughout -------------------------------------------
     def abs_q(self) -> Fraction:

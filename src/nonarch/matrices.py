@@ -2,15 +2,15 @@
 (singular numbers) and symmetric congruence diagonalization, both with
 recomposition witnesses in GL(n, O_F), and the determinant.
 
-One elimination rule serves all three.  Every update goes through
-:func:`add_lenient`, so an entry whose window cancels becomes the certified
-vanishing value O(pi^g).  A vanishing entry is never a pivot: the pivot is a
-visible entry of least ord, and only one whose ord is at most the least
-certified g in the remaining block, so every multiplier lies in O_F and
-every visible digit stays certified.  A multiplier that is itself O(pi^g)
-still updates the block, so the bound spreads, but leaves the witnesses
-alone, where it stands for 0.  Elimination stops when no entry qualifies;
-the remaining block then lies in pi^g O_F.
+One elimination rule serves all three.  An update whose window cancels
+leaves the certified vanishing value O(pi^g) that ``+`` returns.  A
+vanishing entry is never a pivot: the pivot is a visible entry of least
+ord, and only one whose ord is at most the least certified g in the
+remaining block, so every multiplier lies in O_F and every visible digit
+stays certified.  A multiplier that is itself O(pi^g) still updates the
+block, so the bound spreads, but leaves the witnesses alone, where it
+stands for 0.  Elimination stops when no entry qualifies; the remaining
+block then lies in pi^g O_F.
 
 * ``smith_normal_form`` reports each exponent of that block as the
   certified bound ``AtMost(-g)`` in ``sing``;
@@ -121,7 +121,7 @@ class MatF:
             for j in range(other.cols):
                 acc = self.params.zero()
                 for k in range(self.cols):
-                    acc = add_lenient(acc, ri[k] * other[k, j])
+                    acc += ri[k] * other[k, j]
                 out.append(acc)
         return MatF(self.params, self.rows, other.cols, out)
 
@@ -150,7 +150,7 @@ class MatF:
             raise DimensionMismatch("trace needs a square matrix")
         acc = self.params.zero()
         for i in range(self.rows):
-            acc = add_lenient(acc, self[i, i])
+            acc += self[i, i]
         return acc
 
     def det(self) -> FieldElement:
@@ -208,16 +208,6 @@ class MatF:
 # ---------------------------------------------------------------------------
 # helpers shared by the decompositions
 # ---------------------------------------------------------------------------
-
-
-def add_lenient(a: FieldElement, b: FieldElement) -> FieldElement:
-    """a + b, turning a fully-cancelled window into the certified vanishing
-    value O(pi^g) instead of raising.  Sound inside accumulations: the bound
-    survives subsequent additions and products."""
-    try:
-        return a + b
-    except PrecisionExhausted as exc:
-        return FieldElement(a.params, exc.guaranteed_ord, None, 0)
 
 
 def _pivot(w, k: int, n: int):
@@ -318,16 +308,16 @@ def _smith(A: MatF):
             f = w[i][k] * inv
             w[i][k] = params.zero()
             for j in range(k + 1, n):
-                w[i][j] = add_lenient(w[i][j], -(f * w[k][j]))
+                w[i][j] -= f * w[k][j]
             if f.unit is not None:  # a vanishing f stands for 0
                 for r in range(n):  # a <- a * (I + f e_{ik}): col k += f * col i
-                    a[r][k] = add_lenient(a[r][k], f * a[r][i])
+                    a[r][k] += f * a[r][i]
         for j in range(k + 1, n):
             if w[k][j].unit is None:  # zero, or vanishing: stands for 0
                 continue
             g = w[k][j] * inv
             for r in range(n):  # b <- (I + g e_{kj}) b: row k += g * row j
-                b[k][r] = add_lenient(b[k][r], g * b[j][r])
+                b[k][r] += g * b[j][r]
     else:
         bound = ORD_INF
     return pivots, sign, bound, a, b
@@ -414,7 +404,7 @@ def sym_diagonalize(A: MatF) -> SymDiagResult:
     def g_colop(dst: int, src: int, f: FieldElement):
         # g <- g * (I + f e_{src,dst}) : col dst += f * col src
         for r in range(n):
-            g[r][dst] = add_lenient(g[r][dst], f * g[r][src])
+            g[r][dst] += f * g[r][src]
 
     for k in range(n):
         piv, bound = _pivot(w, k, n)
@@ -425,9 +415,9 @@ def sym_diagonalize(A: MatF) -> SymDiagResult:
             # off-diagonal pivot: W <- E W E^t with E = I + e_{i0 j0}
             i, j = piv
             for r in range(n):
-                w[i][r] = add_lenient(w[i][r], w[j][r])
+                w[i][r] += w[j][r]
             for r in range(n):
-                w[r][i] = add_lenient(w[r][i], w[r][j])
+                w[r][i] += w[r][j]
             g_colop(j, i, -params.one())  # g <- g * E^{-1} = g * (I - e_{ij})
             if w[i][i].unit is None:  # 2 w_ij cancelled against O(pi^bound)
                 break
@@ -446,7 +436,7 @@ def sym_diagonalize(A: MatF) -> SymDiagResult:
         for f, i in zip(factors, range(k + 1, n)):
             if not f.is_zero():
                 for j in range(k + 1, n):
-                    w[i][j] = add_lenient(w[i][j], -(f * w[k][j]))
+                    w[i][j] -= f * w[k][j]
         for f, i in zip(factors, range(k + 1, n)):
             w[i][k] = w[k][i] = params.zero()
             if f.unit is not None:  # a vanishing f stands for 0

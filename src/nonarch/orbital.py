@@ -40,7 +40,7 @@ import numpy as np
 from .characters import KIND_BILINEAR, KIND_SQUARE, CharValue, charvalue_product, chi, theta_closed
 from .errors import DimensionMismatch, LevelTooLow, TooLarge
 from .field import FieldElement, FieldParams
-from .matrices import MatF, add_lenient
+from .matrices import MatF
 from .params import DeltaParam, OmegaParam
 from .sampling import KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream, _corner_draws, _entry_shape, _haar_rows, _pow_mod_vec
 
@@ -259,7 +259,10 @@ def _mc_estimates(
         g1, g2 = draw_rows(c, min(chunk_size, n_samples - start))
         a = _gather(g1, I, J)
         b = a if g2 is g1 else _gather(g2, I, J)
-        for acc, k in zip(accs, _paired_phases(field, K, W, a, b)):
+        del g1, g2  # free this chunk's draws before the next one is drawn
+        phases = _paired_phases(field, K, W, a, b)
+        del a, b
+        for acc, k in zip(accs, phases):
             acc.add(_phases(k, M))
     return [acc.finalize(rng.seed) if acc.n else McEstimate(1 + 0j, 0.0, n_samples, rng.seed) for acc in accs]
 
@@ -530,7 +533,7 @@ def _chi_trace(A: MatF, M: MatF) -> complex:
     for i in range(A.rows):
         for j in range(A.cols):
             if not A[i, j].is_zero():
-                t = add_lenient(t, A[i, j] * M[j, i])
+                t += A[i, j] * M[j, i]
     return chi(t)
 
 

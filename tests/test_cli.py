@@ -1,5 +1,6 @@
 """CLI surface: subcommands, wire formats, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -172,6 +173,16 @@ def test_verify_quick_suites(capsys, tmp_path):
     code2, _, _ = run(capsys, "verify", "identities", "semigroup", "--seed", "7", "--out", str(out2))
     assert code2 == 0
     assert out_file.read_bytes() == out2.read_bytes()
+
+
+def test_verify_decompositions_report_pinned(capsys, tmp_path):
+    # sha256 of the report: a refactor must leave it byte-identical; a change
+    # to the draws or the checks re-pins it and says so in CHANGES.md
+    out_file = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "decompositions", "--trials", "100", "--seed", "1", "--out", str(out_file))
+    assert code == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == "fe0e51d6937199cb1da8ee1a1030f3a65cf4908ba1336a3fb28774a98d57c088"
 
 
 def test_verify_csv_format(capsys, tmp_path):

@@ -10,7 +10,6 @@ from nonarch.errors import (
     DyadicField,
     InvalidParam,
     NotIntegral,
-    PrecisionExhausted,
 )
 from nonarch.field import (
     FieldElement,
@@ -83,9 +82,8 @@ def test_division_by_zero(q3):
 
 def test_precision_exhausted_carries_certificate(q3):
     x = q3.from_int(7)
-    with pytest.raises(PrecisionExhausted) as info:
-        x - x
-    assert info.value.guaranteed_ord == q3.precision
+    v = x - x
+    assert v.is_vanishing() and v.ord == q3.precision
 
 
 def test_field_spec_roundtrip():
@@ -117,10 +115,7 @@ def test_ultrametric_laws(family):
         if a.is_zero() or b.is_zero():
             continue
         assert (a * b).ord == a.ord + b.ord
-        try:
-            s = a + b
-        except PrecisionExhausted:
-            continue
+        s = a + b
         assert s.ord >= min(a.ord, b.ord)
         if a.ord != b.ord:
             assert s.ord == min(a.ord, b.ord)
@@ -213,10 +208,8 @@ def test_square_class_properties(family):
 
 
 def test_vanishing_algebra(q3):
-    from nonarch.matrices import add_lenient
-
     x = q3.from_int(7)
-    v = add_lenient(x, -x)
+    v = x + (-x)
     assert v.is_vanishing() and v.ord == q3.precision
     assert (v * q3.uniformizer_pow(-2)).ord == q3.precision - 2
     assert v.agrees(q3.zero())

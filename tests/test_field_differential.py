@@ -4,8 +4,9 @@ convolution and long division mod p for F_p((t)).
 
 An element is modelled as ("zero",), ("vanish", g) for the certified
 vanishing value O(pi^g), or ("val", ord, unit, rel) with the unit an int below
-p^rel (Q_p) or a tuple of rel digits (F_p((t))).  Full cancellation is
-modelled as ("exhausted", guaranteed_ord).
+p^rel (Q_p) or a tuple of rel digits (F_p((t))).  A sum that cancels its whole
+window is ("vanish", top) for the top of the window; an operation that raises
+is ("exhausted", guaranteed_ord) or ("div0",).
 """
 
 import pytest
@@ -104,7 +105,7 @@ def ref_add(field, a, b):
         coeffs = [c % p for c in coeffs]
     nonzero = [i for i, c in enumerate(coeffs) if c]
     if not nonzero:
-        return ("exhausted", top)
+        return ("vanish", top)
     lead = nonzero[0]
     return ("val", v + lead, unit_of(field, coeffs[lead:]), w - lead)
 
@@ -154,6 +155,24 @@ def ref_inverse(field, a):
     return ("val", -o, tuple(quotient), rel)
 
 
+def ref_agrees(field, a, b):
+    """Whether the digits that both operands know coincide: a value is known
+    below its abs_prec (ORD_INF for zero, g for O(pi^g), ord + rel for a
+    visible value), with digit d_i at position ord + i and 0 elsewhere."""
+
+    def window(m):
+        if m[0] == "zero":
+            return ORD_INF, {}
+        if m[0] == "vanish":
+            return m[1], {}
+        _, o, unit, rel = m
+        return o + rel, {o + i: d for i, d in enumerate(digits_of(field, unit, rel)) if d}
+
+    (top_a, da), (top_b, db) = window(a), window(b)
+    top = min(top_a, top_b)
+    return {k: d for k, d in da.items() if k < top} == {k: d for k, d in db.items() if k < top}
+
+
 # -- strategies ---------------------------------------------------------------------
 
 
@@ -191,6 +210,30 @@ def operand_pair(draw, field):
     return a, draw(visible(field, ord_=a[1], digits_prefix=digits[:k]))
 
 
+KINDS = ("zero", "vanish", "val")
+
+
+def of_kind(field, kind):
+    if kind == "zero":
+        return st.just(("zero",))
+    if kind == "vanish":
+        return st.integers(-4, 8).map(lambda g: ("vanish", g))
+    return visible(field)
+
+
+@st.composite
+def agree_pair(draw, field):
+    """Operands of every pair of kinds; a visible b sometimes copies the
+    leading digits of a visible a, so that their windows agree."""
+    ka, kb = draw(st.sampled_from(KINDS)), draw(st.sampled_from(KINDS))
+    a = draw(of_kind(field, ka))
+    if ka == kb == "val" and draw(st.booleans()):
+        digits = digits_of(field, a[2], a[3])
+        k = draw(st.integers(1, len(digits)))
+        return a, draw(visible(field, ord_=a[1], digits_prefix=digits[:k]))
+    return a, draw(of_kind(field, kb))
+
+
 # -- tests ----------------------------------------------------------------------------
 
 
@@ -225,9 +268,19 @@ def test_full_cancellation_certifies_the_window(field):
     @given(visible(field))
     def check(a):
         x = build(field, a)
-        with pytest.raises(PrecisionExhausted) as info:
-            x + (-x)
-        assert info.value.guaranteed_ord == a[1] + a[3] == ref_add(field, a, ref_neg(field, a))[1]
+        assert model(x + (-x)) == ("vanish", a[1] + a[3]) == ref_add(field, a, ref_neg(field, a))
+
+    check()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_agrees_matches_reference(field):
+    @SETTINGS
+    @given(agree_pair(field))
+    def check(pair):
+        a, b = pair
+        x, y = build(field, a), build(field, b)
+        assert x.agrees(y) == y.agrees(x) == ref_agrees(field, a, b)
 
     check()
 
