@@ -12,7 +12,7 @@ from nonarch import (
     error_bound,
     exact_orbital_integral,
     full_rank_fraction,
-    mc_orbital_integral,
+    mc_orbital_multi,
     product_formula,
 )
 from nonarch.sampling import KIND_CONGRUENCE, KIND_TWO_SIDED
@@ -22,7 +22,7 @@ rng = RandomStream(99)
 
 print("== three routes to one integral (two-sided, n=2) ==")
 D, A = [1, 0], [1]  # D = diag(pi^-1, 1), A = pi^-1 e_11
-mc = mc_orbital_integral(q3, KIND_TWO_SIDED, D, A, 50_000, rng.child("mc"))
+mc = mc_orbital_multi(q3, KIND_TWO_SIDED, D, [A], 50_000, rng.child("mc"))[0]
 exact = exact_orbital_integral(q3, KIND_TWO_SIDED, D, A, level=2)
 prod = product_formula(q3, KIND_TWO_SIDED, D, A)
 bound = error_bound(KIND_TWO_SIDED, 2, 1, 3)
@@ -34,7 +34,7 @@ print(f"|exact - product| = {abs(exact - prod.to_complex(3)):.4f}"
 
 print("\n== congruence kind, with an eps-twisted argument ==")
 a_eps = q3.eps()
-mc2 = mc_orbital_integral(q3, KIND_CONGRUENCE, [1, 0], [a_eps], 50_000, rng.child("mc2"))
+mc2 = mc_orbital_multi(q3, KIND_CONGRUENCE, [1, 0], [[a_eps]], 50_000, rng.child("mc2"))[0]
 prod2 = product_formula(q3, KIND_CONGRUENCE, [1, 0], [a_eps])
 print(f"Monte Carlo {mc2.mean:+.4f} vs product {prod2.to_complex(3):+.4f}")
 

@@ -43,12 +43,9 @@ from .orbital import (
     error_bound,
     exact_orbital_integral,
     full_rank_fraction,
-    mc_orbital_integral,
     mc_orbital_multi,
     measure_charfun_batch,
     product_formula,
-    verify_bound,
-    verify_multiplicativity,
 )
 from .params import (
     DeltaParam,
@@ -67,8 +64,6 @@ from .sampling import (
     haar_gl,
     orbital_push,
     sample_corner,
-    sample_mu_corner,
-    sample_nu_corner,
     uniform_integer,
 )
 

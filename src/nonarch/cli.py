@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suites",
         nargs="*",
         default=[],
-        help=f"any of: {', '.join(verification.SUITE_ORDER)}, all (default all)",
+        help=f"any of: {', '.join(verification.SUITE_BUILDERS)}, all (default all)",
     )
     p.add_argument("--trials", type=int, default=1000, help="decomposition trial count")
 
@@ -273,7 +273,7 @@ def _cmd_oplus(args, field: FieldParams):
 def _cmd_verify(args, field: FieldParams):
     names = args.suites or ["all"]
     if "all" in names:
-        names = list(verification.SUITE_ORDER)
+        names = list(verification.SUITE_BUILDERS)
     if args.samples < MIN_MC_SAMPLES:
         raise NonArchError(f"--samples must be >= {MIN_MC_SAMPLES} for verification")
     print(f"seed: {args.seed}", file=sys.stderr)

@@ -449,12 +449,15 @@ def _canonical_residue_sqrt(params: FieldParams, a0: int) -> int:
 
 
 def hensel_sqrt(x: FieldElement) -> FieldElement | None:
-    """Square root of x by Newton lifting from the residue field, or None
-    when x is a nonsquare (odd valuation, or nonsquare unit part).
+    """Square root of x lifted from the residue field, or None when x is a
+    nonsquare (odd valuation, or nonsquare unit part).
 
     The returned root beta satisfies beta^2 = x on the full stored window,
-    ord(beta) = ord(x)/2, and has leading digit <= (p-1)/2 (canonical choice).
-    Each Newton step at least doubles the number of correct digits.
+    ord(beta) = ord(x)/2, and has leading digit <= (p-1)/2 (canonical
+    choice): both lifts below start from the canonical residue root r_0 and
+    keep it.  Over Q_p, Newton steps, each at least doubling the number of
+    correct digits; over F_p((t)), the digits of r^2 = u one at a time,
+    r_k = (u_k - sum_{0<i<k} r_i r_{k-i}) / (2 r_0) mod p.
     """
     prm = x.params
     prm.require_nondyadic("hensel_sqrt")
@@ -467,31 +470,19 @@ def hensel_sqrt(x: FieldElement) -> FieldElement | None:
     a0 = x.leading_digit()
     if legendre(a0, p) != 1:
         return None
-    rel = x.rel
+    rel, u = x.rel, x.unit
     if prm.family == "padic":
-        u = x.unit
         root = _canonical_residue_sqrt(prm, a0)
         known = 1
         while known < rel:
             known = min(2 * known, rel)
             m = prm._pow_p[known]
             root = (root + (u % m) * pow(root, -1, m)) * pow(2, -1, m) % m
-        if root % p > (p - 1) // 2:
-            root = prm._pow_p[rel] - root
         return FieldElement(prm, x.ord // 2, root, rel)
-    # Laurent: Newton on truncated power series, coefficientwise mod p.
-    u = x.unit
-    inv2 = pow(2, p - 2, p)
-    root = [_canonical_residue_sqrt(prm, a0)] + [0] * (rel - 1)
-    known = 1
-    while known < rel:
-        known = min(2 * known, rel)
-        r_el = FieldElement(prm, 0, tuple(root), rel)
-        u_el = FieldElement(prm, 0, u, rel)
-        upd = (r_el + u_el * r_el.inverse()) * prm.from_int(inv2)
-        root = list(upd.digits) + [0] * (rel - len(upd.digits))
-    if root[0] > (p - 1) // 2:
-        root = [(-c) % p for c in root]
+    root = [_canonical_residue_sqrt(prm, a0)]
+    inv = pow(2 * root[0], -1, p)
+    for k in range(1, rel):
+        root.append((u[k] - sum(map(mul, root[1:k], root[k - 1 : 0 : -1]))) * inv % p)
     return FieldElement(prm, x.ord // 2, tuple(root), rel)
 
 

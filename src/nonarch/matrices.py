@@ -141,10 +141,6 @@ class MatF:
     def transpose(self) -> "MatF":
         return MatF(self.params, self.cols, self.rows, [self[j, i] for i in range(self.cols) for j in range(self.rows)])
 
-    @property
-    def T(self) -> "MatF":
-        return self.transpose()
-
     def trace(self) -> FieldElement:
         if self.rows != self.cols:
             raise DimensionMismatch("trace needs a square matrix")

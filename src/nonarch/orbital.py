@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import KIND_BILINEAR, KIND_SQUARE, CharValue, charvalue_product, chi, theta_closed
-from .errors import DimensionMismatch, LevelTooLow, TooLarge
+from .errors import DimensionMismatch, InsufficientPrecision, LevelTooLow, TooLarge
 from .field import FieldElement, FieldParams
 from .matrices import MatF
 from .params import DeltaParam, OmegaParam
@@ -124,7 +124,9 @@ def _check_window(field: FieldParams, K: int):
 
 def _pair_data(field: FieldParams, D, A):
     """For each (i, j) with m_ij = -ord(a_i x_j) >= 1, the depth m_ij and the
-    unit part of a_i x_j; plus the overall window K."""
+    unit part of a_i x_j; plus the overall window K.  Raises
+    InsufficientPrecision, as chi does, when a_i x_j stores fewer than m_ij
+    digits."""
     pairs = []
     K = 0
     for i, a in enumerate(A):
@@ -134,7 +136,7 @@ def _pair_data(field: FieldParams, D, A):
                 continue
             m = -prod.ord
             if prod.rel < m:
-                raise DimensionMismatch("argument product stores too few digits for chi")
+                raise InsufficientPrecision(f"argument product stores {prod.rel} digits; chi needs {m}")
             if field.family == "padic":
                 unit = prod.unit % field.p**m
             else:
@@ -308,19 +310,6 @@ def mc_orbital_multi(
     return _mc_estimates(field, pair_lists, K, n_samples, chunk_size, rng, draw_rows)
 
 
-def mc_orbital_integral(
-    field: FieldParams,
-    kind: str,
-    D,
-    A,
-    n_samples: int,
-    rng: RandomStream,
-    chunk_size: int = 16384,
-) -> McEstimate:
-    """Single-argument form of :func:`mc_orbital_multi`."""
-    return mc_orbital_multi(field, kind, D, [A], n_samples, rng, chunk_size)[0]
-
-
 # ---------------------------------------------------------------------------
 # closed-form product and error bounds
 # ---------------------------------------------------------------------------
@@ -465,11 +454,6 @@ def compare_bound(field: FieldParams, kind: str, D, A, est: McEstimate) -> Bound
     return BoundReport(kind, len(D), len(A), est, cv, bounds.factorization, gap, passed)
 
 
-def verify_bound(field: FieldParams, kind: str, D, A, n_samples: int, rng: RandomStream) -> BoundReport:
-    """The Monte Carlo integral at (D, A) against :func:`compare_bound`."""
-    return compare_bound(field, kind, D, A, mc_orbital_integral(field, kind, D, A, n_samples, rng))
-
-
 @dataclass(frozen=True)
 class MultiplicativityReport:
     kind: str
@@ -496,16 +480,6 @@ def compare_multiplicativity(
     gap = abs(joint.mean - prod)
     passed = gap <= float(bounds.multiplicativity) + 3 * se_total
     return MultiplicativityReport(kind, n, len(rank_one), joint, prod, bounds.multiplicativity, gap, passed)
-
-
-def verify_multiplicativity(
-    field: FieldParams, kind: str, D, A, n_samples: int, rng: RandomStream
-) -> MultiplicativityReport:
-    """Monte Carlo joint and rank-one integrals against
-    :func:`compare_multiplicativity`."""
-    joint = mc_orbital_integral(field, kind, D, A, n_samples, rng.child("joint"))
-    rank_one = [mc_orbital_integral(field, kind, D, [a], n_samples, rng.child("rank1", i)) for i, a in enumerate(A)]
-    return compare_multiplicativity(field, kind, len(D), joint, rank_one)
 
 
 # ---------------------------------------------------------------------------
@@ -626,17 +600,13 @@ class ConvergenceRow:
 
 
 def convergence_experiment(
-    field: FieldParams,
-    param,
-    n_list,
-    n_samples: int,
-    rng: RandomStream,
-    ell_range=range(-2, 4),
+    field: FieldParams, param, n_list, n_samples: int, rng: RandomStream
 ) -> list[ConvergenceRow]:
     """Push the canonical generators by Haar and compare the empirical
     characteristic function against the closed form of the limit measure at
-    rank-one probe arguments; gaps must clear the rank-one bound plus Monte
-    Carlo noise, with the bound sequence strictly decreasing in n."""
+    the rank-one probe arguments pi^-ell (and eps pi^-ell), -2 <= ell <= 3;
+    gaps must clear the rank-one bound plus Monte Carlo noise, with the
+    bound sequence strictly decreasing in n."""
     two_sided = isinstance(param, DeltaParam)
     kind = KIND_TWO_SIDED if two_sided else KIND_CONGRUENCE
     q = field.q
@@ -646,7 +616,7 @@ def convergence_experiment(
         bound = float(error_bound(kind, n, 1, q).factorization)
         probes = []
         closed_vals = []
-        for ell in ell_range:
+        for ell in range(-2, 4):
             args = [field.uniformizer_pow(-ell)]
             if not two_sided:
                 args.append(field.eps().shift(-ell))

@@ -64,10 +64,6 @@ class DeltaParam:
             return self.head[j - 1]
         return self.tail
 
-    @property
-    def limit(self) -> int | None:
-        return self.tail
-
     def support_bound(self) -> int:
         """max(0, largest entry): every sampled corner entry has ord >= -bound."""
         cand = [0, *self.head]
@@ -86,9 +82,7 @@ class DeltaParam:
         return CharValue("+1", 2 * total)
 
     def char(self, ells: Sequence[int]) -> list[CharValue]:
-        ok, msg = validate(self)
-        if not ok:
-            raise InvalidParam(msg)
+        _require_valid(self)
         return [self.char_single(int(l)) for l in ells]
 
     # -- serialization -----------------------------------------------------------
@@ -136,9 +130,7 @@ class OmegaParam:
         return charvalue_product(factors)
 
     def char(self, xs: Sequence[FieldElement]) -> list[CharValue]:
-        ok, msg = validate(self)
-        if not ok:
-            raise InvalidParam(msg)
+        _require_valid(self)
         return [self.char_single(x) for x in xs]
 
     # -- serialization -----------------------------------------------------------
@@ -214,27 +206,13 @@ def convolve(a, b):
     if isinstance(a, DeltaParam) and isinstance(b, DeltaParam):
         _require_valid(a)
         _require_valid(b)
-        if a.tail is None and b.tail is None:
-            tail = None
-        elif a.tail is None:
-            tail = b.tail
-        elif b.tail is None:
-            tail = a.tail
-        else:
-            tail = max(a.tail, b.tail)
+        tail = max((t for t in (a.tail, b.tail) if t is not None), default=None)
         merged = [k for k in a.head + b.head if tail is None or k > tail]
         return DeltaParam(tuple(sorted(merged, reverse=True)), tail)
     if isinstance(a, OmegaParam) and isinstance(b, OmegaParam):
         _require_valid(a)
         _require_valid(b)
-        if a.k is None and b.k is None:
-            k = None
-        elif a.k is None:
-            k = b.k
-        elif b.k is None:
-            k = a.k
-        else:
-            k = max(a.k, b.k)
+        k = max((t for t in (a.k, b.k) if t is not None), default=None)
         return canonicalize_omega(k, a.kk + b.kk, a.kkp + b.kkp)
     raise InvalidParam("convolve needs two parameters of the same kind")
 
@@ -282,21 +260,22 @@ def distinguishing_argument(a: DeltaParam, b: DeltaParam) -> int:
     raise EqualParams("the two parameters describe the same sequence")
 
 
-def probe_grid(field: FieldParams, ell_range=range(-4, 7)) -> list[FieldElement]:
-    """Arguments u * pi^-ell, u in {1, eps}, covering every separation the
-    uniqueness construction needs for parameters supported in the window."""
+def probe_grid(field: FieldParams) -> list[FieldElement]:
+    """Arguments u * pi^-ell, u in {1, eps}, -4 <= ell <= 6, covering every
+    separation the uniqueness construction needs for parameters supported
+    in that window."""
     eps = field.eps()
     out = []
-    for ell in ell_range:
+    for ell in range(-4, 7):
         out.append(field.uniformizer_pow(-ell))
         out.append(eps.shift(-ell))
     return out
 
 
-def separate_omega(a: OmegaParam, b: OmegaParam, field: FieldParams, ell_range=range(-4, 7)) -> FieldElement | None:
+def separate_omega(a: OmegaParam, b: OmegaParam, field: FieldParams) -> FieldElement | None:
     """A probe argument where the two characteristic functions differ, or
-    None if the grid does not separate them."""
-    for x in probe_grid(field, ell_range):
+    None if :func:`probe_grid` does not separate them."""
+    for x in probe_grid(field):
         if a.char_single(x) != b.char_single(x):
             return x
     return None

@@ -21,10 +21,9 @@ import hashlib
 
 import numpy as np
 
-from .errors import InvalidParam
 from .field import FieldElement, FieldParams, _vp
 from .matrices import MatF
-from .params import DeltaParam, OmegaParam, validate
+from .params import DeltaParam, OmegaParam, _require_valid
 
 
 class RandomStream:
@@ -194,35 +193,15 @@ def sample_corner(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
     One sample of the corner draw (:func:`_corner_draws` at count 1 and
     window = precision).  Entry (i, j) is the sum of its terms mod pi^A, A
     the least of ord(term) + precision over its nonzero terms: O(pi^A) when
-    the sum cancels there, the exact zero when every term is zero.
+    the sum cancels there, the exact zero when every term is zero.  Each
+    entry is summed as an exact integer, all terms scaled by pi^kmax: over
+    Q_p the values themselves (base B = p), over F_p((t)) one digit per
+    b-bit slot (B = 2^b), wide enough that no digit sum carries, reduced
+    mod p slot by slot.
     """
-    if isinstance(param, DeltaParam):
-        return sample_mu_corner(field, param, n, rng)
     if isinstance(param, OmegaParam):
-        return sample_nu_corner(field, param, n, rng)
-    raise InvalidParam(f"not a parameter object: {type(param).__name__}")
-
-
-def sample_mu_corner(field: FieldParams, param: DeltaParam, n: int, rng: RandomStream) -> MatF:
-    ok, msg = validate(param)
-    if not ok or not isinstance(param, DeltaParam):
-        raise InvalidParam(msg or "expected a DeltaParam")
-    return _corner_matrix(field, param, n, rng)
-
-
-def sample_nu_corner(field: FieldParams, param: OmegaParam, n: int, rng: RandomStream) -> MatF:
-    field.require_nondyadic("the symmetric family")
-    ok, msg = validate(param)
-    if not ok or not isinstance(param, OmegaParam):
-        raise InvalidParam(msg or "expected an OmegaParam")
-    return _corner_matrix(field, param, n, rng)
-
-
-def _corner_matrix(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
-    """Each entry of one corner draw as an exact integer sum of its terms,
-    all scaled by pi^kmax: over Q_p the values themselves (base B = p), over
-    F_p((t)) one digit per b-bit slot (B = 2^b), wide enough that no digit
-    sum carries, reduced mod p slot by slot."""
+        field.require_nondyadic("the symmetric family")
+    _require_valid(param)
     p, N, padic = field.p, field.precision, field.family == "padic"
     terms, haar = _corner_draws(field, param, n, 1, N, rng)
     kmax = param.support_bound()  # at least every k

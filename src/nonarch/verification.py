@@ -77,14 +77,14 @@ def verify_gauss_sums() -> Suite:
 
 
 @_timed
-def verify_kernel_oracles(ps=(3, 5, 7), ord_range=range(-3, 4)) -> Suite:
+def verify_kernel_oracles() -> Suite:
     s = Suite("kernel-oracles")
-    for p in ps:
+    for p in (3, 5, 7):
         field = FieldParams("padic", p, 12)
         eps = field.eps()
         worst = 0.0
         square_ids = True
-        for ell in ord_range:
+        for ell in range(-3, 4):
             for u in (field.one(), eps):
                 x = u.shift(ell)
                 for kind in (KIND_BILINEAR, KIND_SQUARE):
@@ -235,12 +235,12 @@ def _bound_grid(n: int):
 
 
 @_timed
-def verify_bounds(field: FieldParams, rng: RandomStream, n_samples: int = 100_000, ns=(4, 6, 8)) -> Suite:
+def verify_bounds(field: FieldParams, rng: RandomStream, n_samples: int = 100_000) -> Suite:
     s = Suite("orbital-bounds")
     q = field.q
     a_sets = ((1,), (1, 1), (2, 1))
     for kind in (KIND_TWO_SIDED, KIND_CONGRUENCE):
-        for n in ns:
+        for n in (4, 6, 8):
             for di, dvals in enumerate(_bound_grid(n)):
                 # shared Haar draws evaluate all A variants plus the rank-one
                 # integrals feeding the multiplicativity comparison
@@ -288,7 +288,8 @@ def verify_exact_oracle(field: FieldParams, rng: RandomStream, n_samples: int = 
         except TooLarge as exc:
             s.check(f"{kind} D={dv} A={av}: level {level} exceeds the enumeration guard ({exc})", False)
             continue
-        est = orbital.mc_orbital_integral(field, kind, dv, av, n_samples, rng.child("mc", kind, tuple(dv), tuple(av)))
+        mc_rng = rng.child("mc", kind, tuple(dv), tuple(av))
+        est = orbital.mc_orbital_multi(field, kind, dv, [av], n_samples, mc_rng)[0]
         gap_mc = abs(est.mean - exact)
         s.check(f"{kind} D={dv} A={av}: |MC - exact| {gap_mc:.2e} <= 3se", gap_mc <= 3 * est.stderr + 1e-12)
         cv = orbital.product_formula(field, kind, dv, av).to_complex(q)
@@ -315,8 +316,9 @@ def verify_exact_oracle(field: FieldParams, rng: RandomStream, n_samples: int = 
 
 
 @_timed
-def verify_measure_charfun(field: FieldParams, rng: RandomStream, n_samples: int = 100_000, n: int = 6) -> Suite:
+def verify_measure_charfun(field: FieldParams, rng: RandomStream, n_samples: int = 100_000) -> Suite:
     s = Suite("measure-charfun")
+    n = 6  # corner size
     tol = 3 / math.sqrt(n_samples)
     q = field.q
 
@@ -368,8 +370,9 @@ def verify_measure_charfun(field: FieldParams, rng: RandomStream, n_samples: int
 
 
 @_timed
-def verify_convergence(field: FieldParams, rng: RandomStream, n_samples: int = 100_000, ns=(4, 8, 16)) -> Suite:
+def verify_convergence(field: FieldParams, rng: RandomStream, n_samples: int = 100_000) -> Suite:
     s = Suite("orbital-convergence")
+    ns = (4, 8, 16)
     rows = orbital.convergence_experiment(field, DeltaParam((1,), None), ns, n_samples, rng.child("mu"))
     for row in rows:
         s.check(f"two-sided n={row.n}: gap {row.max_gap:.2e} <= {row.bound:.2e}+3se", row.passed)
@@ -409,12 +412,12 @@ def _random_omega(rng: RandomStream) -> OmegaParam:
 
 
 @_timed
-def verify_uniqueness(field: FieldParams, rng: RandomStream, delta_pairs: int = 500, omega_pairs: int = 200) -> Suite:
+def verify_uniqueness(field: FieldParams, rng: RandomStream) -> Suite:
     s = Suite("uniqueness")
     ok = True
     done = 0
     i = 0
-    while done < delta_pairs:
+    while done < 500:
         a = _random_delta(rng.child("da", i))
         b = _random_delta(rng.child("db", i))
         i += 1
@@ -423,12 +426,12 @@ def verify_uniqueness(field: FieldParams, rng: RandomStream, delta_pairs: int = 
         ell = distinguishing_argument(a, b)
         ok &= a.char_single(ell) != b.char_single(ell)
         done += 1
-    s.check(f"{delta_pairs} unequal Delta pairs separated at the constructed argument", ok)
+    s.check("500 unequal Delta pairs separated at the constructed argument", ok)
 
     ok = True
     done = 0
     i = 0
-    while done < omega_pairs:
+    while done < 200:
         a = _random_omega(rng.child("oa", i))
         b = _random_omega(rng.child("ob", i))
         i += 1
@@ -436,7 +439,7 @@ def verify_uniqueness(field: FieldParams, rng: RandomStream, delta_pairs: int = 
             continue
         ok &= params_mod.separate_omega(a, b, field) is not None
         done += 1
-    s.check(f"{omega_pairs} unequal canonical Omega pairs separated on the probe grid", ok)
+    s.check("200 unequal canonical Omega pairs separated on the probe grid", ok)
 
     ok_idem = ok_pres = True
     for i in range(60):
@@ -457,7 +460,7 @@ def verify_uniqueness(field: FieldParams, rng: RandomStream, delta_pairs: int = 
 
 
 @_timed
-def verify_semigroup(rng: RandomStream, pairs: int = 200, ell_lo: int = -4, ell_hi: int = 5) -> Suite:
+def verify_semigroup(rng: RandomStream) -> Suite:
     s = Suite("semigroup")
     a = DeltaParam((6, 2, 2), -3)
     b = DeltaParam((4, 3, 0, -1), None)
@@ -467,17 +470,17 @@ def verify_semigroup(rng: RandomStream, pairs: int = 200, ell_lo: int = -4, ell_
         merged == DeltaParam((6, 4, 3, 2, 2, 0, -1), -3),
     )
     ok_hom = ok_assoc = ok_comm = ok_ident = True
-    for i in range(pairs):
+    for i in range(200):
         x = _random_delta(rng.child("x", i))
         y = _random_delta(rng.child("y", i))
         z = _random_delta(rng.child("z", i))
         xy = params_mod.convolve(x, y)
-        for ell in range(ell_lo, ell_hi):
+        for ell in range(-4, 5):
             ok_hom &= xy.char_single(ell) == x.char_single(ell).mul(y.char_single(ell))
         ok_assoc &= params_mod.convolve(xy, z) == params_mod.convolve(x, params_mod.convolve(y, z))
         ok_comm &= xy == params_mod.convolve(y, x)
         ok_ident &= params_mod.convolve(x, DeltaParam((), None)) == x
-    s.check(f"char homomorphism on {pairs} pairs x 9 arguments", ok_hom)
+    s.check("char homomorphism on 200 pairs x 9 arguments", ok_hom)
     s.check("associative", ok_assoc)
     s.check("commutative", ok_comm)
     s.check("identity element", ok_ident)
@@ -520,16 +523,6 @@ SUITE_BUILDERS = {
     ],
     "semigroup": lambda field, rng, n_samples, trials: [verify_semigroup(rng.child("semi"))],
 }
-
-SUITE_ORDER = [
-    "identities",
-    "decompositions",
-    "bounds",
-    "charfun",
-    "converge",
-    "uniqueness",
-    "semigroup",
-]
 
 
 def run_suites(names, field: FieldParams, seed: int, n_samples: int = 100_000, trials: int = 1000) -> list[Suite]:

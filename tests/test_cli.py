@@ -185,6 +185,16 @@ def test_verify_decompositions_report_pinned(capsys, tmp_path):
     assert digest == "fe0e51d6937199cb1da8ee1a1030f3a65cf4908ba1336a3fb28774a98d57c088"
 
 
+def test_verify_uniqueness_semigroup_report_pinned(capsys, tmp_path):
+    # the exact suites, whose pair counts and argument ranges are constants:
+    # a refactor must leave their report byte-identical
+    out_file = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "uniqueness", "semigroup", "--seed", "1", "--out", str(out_file))
+    assert code == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == "d34eb0c13832aee83edd54c8570f1b0a1c0e45aff0edec0e7dd8a3f98fdaae95"
+
+
 def test_verify_csv_format(capsys, tmp_path):
     out_file = tmp_path / "report.csv"
     code, _, _ = run(capsys, "verify", "semigroup", "--seed", "3", "--format", "csv", "--out", str(out_file))
@@ -249,6 +259,14 @@ def test_malformed_param_is_one_error_line(capsys, kind, payload):
     code, out, err = run(capsys, "sample", "--kind", kind, "--param", payload, "--n", "2")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "InvalidParam" in err
+
+
+def test_charfun_probe_beyond_the_precision_names_the_characters_error(capsys):
+    # the deepest probe needs more digits than prec=8 stores: the suite stops
+    # with the error chi raises for the same shortfall
+    code, _, err = run(capsys, "verify", "charfun", "--field", "padic:p=3,prec=8", "--samples", "100")
+    assert code == 1
+    assert "characters: InsufficientPrecision" in err
 
 
 def test_sample_requires_min_count_invariant(capsys):

@@ -13,10 +13,11 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
 from nonarch.cli import main
+from nonarch.errors import PrecisionExhausted
 from nonarch.field import FieldParams
 from nonarch.matrices import AtMost, MatF, singular_numbers, smith_normal_form, sym_diagonalize
 from nonarch.sampling import KIND_TWO_SIDED, RandomStream, orbital_push
-from nonarch.verification import _random_matrix, _random_symmetric, verify_decompositions
+from nonarch.verification import verify_decompositions
 
 NEG_INF = -math.inf
 REPRODUCER = [[1, 6, -2, 16], [79, 15, 4, 49], [0, 0, 27, 0], [236, 39, 14, 131]]
@@ -138,12 +139,53 @@ def test_reproducer_reports_a_bound_and_a_vanishing_det():
     assert A.det().is_vanishing()
 
 
+# suite inputs that once failed, as literals: (ord, digits d_0 d_1 ..) per
+# entry, None for zero
+
+# seed 1, Q_3: the base of the two-sided pushes
+Q3_BASE = [
+    [None, (3, "200112111221"), (3, "211201111001"), (-1, "220110112000")],
+    [(-1, "101112100110"), None, (3, "212200202110"), (0, "110202011020")],
+    [(-3, "100111220000"), (2, "101202020210"), (2, "220110022100"), (-3, "222122020122")],
+    [(-3, "122101210020"), (3, "112112022212"), (2, "100122220121"), (-3, "101220022210")],
+]
+
+# symmetric inputs by (seed, input index): 83 over Q_5, 297 over F_3((t)),
+# 436 over Q_5
+SYMMETRIC_INPUTS = {
+    (8, 83): [
+        [None, None, (-3, "114034143101"), (0, "214414224011"), None],
+        [None, (0, "423111222240"), (-1, "303330130024"), None, (3, "414000043000")],
+        [(-3, "114034143101"), (-1, "303330130024"), (0, "142440432000"), (0, "411022203034"), (-3, "301410023421")],
+        [(0, "214414224011"), None, (0, "411022203034"), (-2, "344101303132"), (-3, "424232432300")],
+        [None, (3, "414000043000"), (-3, "301410023421"), (-3, "424232432300"), None],
+    ],
+    (5, 297): [
+        [None, (2, "102102220201"), None, (3, "102201020201"), (-3, "211220000122")],
+        [(2, "102102220201"), (0, "211022221020"), (3, "100011221200"), (-2, "222122202101"), (3, "200000202200")],
+        [None, (3, "100011221200"), None, (0, "102010010100"), (-3, "212120112012")],
+        [(3, "102201020201"), (-2, "222122202101"), (0, "102010010100"), (0, "221220111011"), (3, "220022102221")],
+        [(-3, "211220000122"), (3, "200000202200"), (-3, "212120112012"), (3, "220022102221"), (0, "120220211120")],
+    ],
+    (2, 436): [
+        [(3, "434130314320"), (-2, "414110433020"), (-2, "341312200330")],
+        [(-2, "414110433020"), None, None],
+        [(-2, "341312200330"), None, None],
+    ],
+}
+
+
+def literal(field: FieldParams, rows) -> MatF:
+    entries = [{"ord": e and e[0], "digits": [int(d) for d in e[1]] if e else []} for r in rows for e in r]
+    return MatF.from_json(field, {"rows": len(rows), "cols": len(rows), "entries": entries})
+
+
 @pytest.mark.parametrize("push", [147, 923])
 def test_suite_pushes_keep_the_base_exponents(push):
     # these pushes of the seed-1 suite base once exhausted the precision
     field = FieldParams("padic", 3, 12)
     rng = RandomStream(1).child("decompositions").child("dec", field.spec_string())
-    base = _random_matrix(field, rng.child("base"), 4)
+    base = literal(field, Q3_BASE)
     assert singular_numbers(base) == (3, 3, -3, -3)
     assert singular_numbers(orbital_push(base, KIND_TWO_SIDED, rng.child("push", push))) == (3, 3, -3, -3)
 
@@ -152,13 +194,20 @@ def test_suite_pushes_keep_the_base_exponents(push):
 def test_suite_symmetric_inputs_resolve(seed, spec, index):
     # these symmetric inputs of the suite once raised in mid-elimination
     field = FieldParams(*spec)
-    sub = RandomStream(seed).child("decompositions").child("dec", field.spec_string()).child("sym", index)
-    A = _random_symmetric(field, sub.child("mat"), int(sub.generator.integers(1, 6)))
+    A = literal(field, SYMMETRIC_INPUTS[seed, index])
     res = sym_diagonalize(A)
     assert res.recompose().agrees(A)
     assert res.g.is_gl()
     ords = sorted((NEG_INF if x.is_zero() else -x.ord for x in res.diag_entries), reverse=True)
     assert tuple(ords) == oracle_exponents(stored_rows(A, 3), field, 3)
+
+
+def test_singular_symmetric_input_exhausts_the_precision():
+    # defect (a): the input is singular, and the end rule of sym_diagonalize
+    # certifies its last pivot only to ord 10
+    with pytest.raises(PrecisionExhausted) as exc:
+        sym_diagonalize(literal(FieldParams("padic", 5, 12), SYMMETRIC_INPUTS[2, 436]))
+    assert exc.value.guaranteed_ord == 10
 
 
 def test_unresolved_symmetric_input_is_a_failing_row():

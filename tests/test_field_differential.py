@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonarch.errors import DivisionByZero, PrecisionExhausted
-from nonarch.field import ORD_INF, FieldElement, FieldParams
+from nonarch.field import ORD_INF, FieldElement, FieldParams, hensel_sqrt
 
 FIELDS = [
     FieldParams(family, p, prec)
@@ -22,6 +22,7 @@ FIELDS = [
     for p, prec in ((2, 1), (3, 12), (5, 9), (7, 16), (257, 3))
 ]
 IDS = [f.spec_string() for f in FIELDS]
+ODD_FIELDS = [f for f in FIELDS if not f.is_dyadic]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -173,6 +174,24 @@ def ref_agrees(field, a, b):
     return {k: d for k, d in da.items() if k < top} == {k: d for k, d in db.items() if k < top}
 
 
+def ref_sqrt(field, a):
+    """Square root of a visible value, or None for a nonsquare: from the
+    residue root r_0 <= (p-1)/2, the root is lifted one digit at a time, by
+    trying every digit d at position k until (r + d pi^k)^2 = u mod pi^(k+1)."""
+    _, o, unit, rel = a
+    p, u = field.p, digits_of(field, unit, rel)
+    root = [r for r in range(1, (p + 1) // 2) if r * r % p == u[0]]
+    if o % 2 or not root:
+        return None
+    for k in range(1, rel):
+        for d in range(p):
+            m = ("val", 0, unit_of(field, root + [d]), k + 1)
+            if digits_of(field, ref_mul(field, m, m)[2], k + 1) == tuple(u[: k + 1]):
+                root.append(d)
+                break
+    return ("val", o // 2, unit_of(field, root), rel)
+
+
 # -- strategies ---------------------------------------------------------------------
 
 
@@ -292,3 +311,14 @@ def test_products_of_largest_digits(field):
     top = ("val", 0, unit_of(field, [field.p - 1] * field.precision), field.precision)
     x = build(field, top)
     assert outcome(lambda: x * x) == ref_mul(field, top, top)
+
+
+@pytest.mark.parametrize("field", ODD_FIELDS, ids=[f.spec_string() for f in ODD_FIELDS])
+def test_hensel_sqrt_matches_reference(field):
+    @SETTINGS
+    @given(st.one_of(visible(field), visible(field).map(lambda b: ref_mul(field, b, b))))
+    def check(a):
+        root = hensel_sqrt(build(field, a))
+        assert (None if root is None else model(root)) == ref_sqrt(field, a)
+
+    check()

@@ -9,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonarch.characters import CharValue
-from nonarch.errors import DimensionMismatch, LevelTooLow, TooLarge
+from nonarch.errors import DimensionMismatch, InsufficientPrecision, LevelTooLow, TooLarge
 from nonarch.field import FieldParams, parse_field_spec
 from nonarch.orbital import (
     _haar_rows,
+    compare_bound,
+    compare_multiplicativity,
     convergence_experiment,
     error_bound,
     exact_orbital_integral,
     full_rank_fraction,
-    mc_orbital_integral,
     mc_orbital_multi,
     product_formula,
-    verify_bound,
-    verify_multiplicativity,
 )
 from nonarch.params import DeltaParam, OmegaParam
 from nonarch.sampling import KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream
@@ -103,31 +102,37 @@ def test_union_bound_holds_exactly_at_small_sizes(q3):
 
 
 def test_mc_constant_integrand(q3):
-    est = mc_orbital_integral(q3, KIND_TWO_SIDED, [0, 0], [0], 500, RandomStream(1))
+    est = mc_orbital_multi(q3, KIND_TWO_SIDED, [0, 0], [[0]], 500, RandomStream(1))[0]
     assert est.mean == 1.0 and est.stderr == 0.0
 
 
 def test_mc_reproducible(q3):
-    a = mc_orbital_integral(q3, KIND_TWO_SIDED, [1, 0], [1], 2000, RandomStream(5))
-    b = mc_orbital_integral(q3, KIND_TWO_SIDED, [1, 0], [1], 2000, RandomStream(5))
+    a = mc_orbital_multi(q3, KIND_TWO_SIDED, [1, 0], [[1]], 2000, RandomStream(5))[0]
+    b = mc_orbital_multi(q3, KIND_TWO_SIDED, [1, 0], [[1]], 2000, RandomStream(5))[0]
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
 def test_mc_congruence_unit_level_is_constant(q3):
     # n=1, D=(pi^-1), A=(1): the integrand is constant e^{2 pi i/3} on units
-    est = mc_orbital_integral(q3, KIND_CONGRUENCE, [1], [0], 400, RandomStream(3))
+    est = mc_orbital_multi(q3, KIND_CONGRUENCE, [1], [[0]], 400, RandomStream(3))[0]
     assert est.mean == pytest.approx(np.exp(2j * np.pi / 3))
     assert est.stderr <= 1e-15
 
 
 def test_mc_rank_guard(q3):
     with pytest.raises(DimensionMismatch):
-        mc_orbital_integral(q3, KIND_TWO_SIDED, [1], [1, 1], 200, RandomStream(1))
+        mc_orbital_multi(q3, KIND_TWO_SIDED, [1], [[1, 1]], 200, RandomStream(1))
+
+
+def test_mc_argument_beyond_the_window_raises_like_chi():
+    # pi^-6 stores 4 digits at prec=4, and chi needs 6: the error chi raises
+    with pytest.raises(InsufficientPrecision):
+        mc_orbital_multi(parse_field_spec("padic:p=3,prec=4"), KIND_TWO_SIDED, [6], [[0]], 100, RandomStream(1))
 
 
 def test_mc_multi_shares_draws(q3):
     ests = mc_orbital_multi(q3, KIND_CONGRUENCE, [1, 0], [[1], [1, 0]], 3000, RandomStream(9))
-    single = mc_orbital_integral(q3, KIND_CONGRUENCE, [1, 0], [1], 3000, RandomStream(9))
+    single = mc_orbital_multi(q3, KIND_CONGRUENCE, [1, 0], [[1]], 3000, RandomStream(9))[0]
     assert ests[0].mean == single.mean
 
 
@@ -138,16 +143,16 @@ def test_mc_matches_exact_small_cases(q3):
         (KIND_CONGRUENCE, [1, 1], [1]),
     ):
         exact = exact_orbital_integral(q3, kind, dv, av, level=2)
-        est = mc_orbital_integral(q3, kind, dv, av, 40_000, rng.child(kind))
+        est = mc_orbital_multi(q3, kind, dv, [av], 40_000, rng.child(kind))[0]
         assert abs(est.mean - exact) <= 3 * est.stderr
 
 
 def test_mc_laurent_matches_exact(l3):
     exact = exact_orbital_integral(l3, KIND_CONGRUENCE, [1, 0], [0], level=1)
-    est = mc_orbital_integral(l3, KIND_CONGRUENCE, [1, 0], [0], 20_000, RandomStream(13))
+    est = mc_orbital_multi(l3, KIND_CONGRUENCE, [1, 0], [[0]], 20_000, RandomStream(13))[0]
     assert abs(est.mean - exact) <= 3 * est.stderr
     exact2 = exact_orbital_integral(l3, KIND_TWO_SIDED, [1, 0], [0, None], level=1)
-    est2 = mc_orbital_integral(l3, KIND_TWO_SIDED, [1, 0], [0, None], 20_000, RandomStream(14))
+    est2 = mc_orbital_multi(l3, KIND_TWO_SIDED, [1, 0], [[0, None]], 20_000, RandomStream(14))[0]
     assert abs(est2.mean - exact2) <= 3 * est2.stderr + 1e-12
 
 
@@ -212,9 +217,9 @@ def test_mc_window_guard_per_family():
     # depth 13 at p = 7: residues mod 7^13 overflow int64 products, but the
     # F_p((t)) kernel only multiplies digits below 7
     with pytest.raises(TooLarge):
-        mc_orbital_integral(FieldParams("padic", 7, 30), KIND_TWO_SIDED, [12, 0], [1], 1000, RandomStream(1))
+        mc_orbital_multi(FieldParams("padic", 7, 30), KIND_TWO_SIDED, [12, 0], [[1]], 1000, RandomStream(1))[0]
     field = FieldParams("laurent", 7, 30)
-    est = mc_orbital_integral(field, KIND_TWO_SIDED, [12, 0], [1], 1000, RandomStream(1))
+    est = mc_orbital_multi(field, KIND_TWO_SIDED, [12, 0], [[1]], 1000, RandomStream(1))[0]
     closed = product_formula(field, KIND_TWO_SIDED, [12, 0], [1]).to_complex(field.q)
     bound = float(error_bound(KIND_TWO_SIDED, 2, 1, field.q).factorization)
     assert abs(est.mean - closed) <= bound + 3 * est.stderr
@@ -445,19 +450,27 @@ def test_exact_oracle_against_field_level_enumeration(q3):
     assert brute_sym == pytest.approx(fast_sym, abs=1e-9)
 
 
-# -- verification wrappers ----------------------------------------------------------------
+# -- bound comparisons ------------------------------------------------------------------
 
 
-def test_verify_bound_report(q3):
-    rep = verify_bound(q3, KIND_TWO_SIDED, [1, 0, 0, 0], [1], 20_000, RandomStream(21))
+def test_compare_bound_report(q3):
+    est = mc_orbital_multi(q3, KIND_TWO_SIDED, [1, 0, 0, 0], [[1]], 20_000, RandomStream(21))[0]
+    rep = compare_bound(q3, KIND_TWO_SIDED, [1, 0, 0, 0], [1], est)
     assert rep.passed
     payload = rep.to_json(3)
     assert payload["pass"] and payload["kind"] == KIND_TWO_SIDED
     assert "/" in payload["paper_bound"]
 
 
-def test_verify_multiplicativity_report(q3):
-    rep = verify_multiplicativity(q3, KIND_CONGRUENCE, [1, 0, 0, 0], [1, 2], 20_000, RandomStream(23))
+def test_compare_multiplicativity_report(q3):
+    rng, D = RandomStream(23), [1, 0, 0, 0]
+
+    def estimate(A, stream):
+        return mc_orbital_multi(q3, KIND_CONGRUENCE, D, [A], 20_000, stream)[0]
+
+    joint = estimate([1, 2], rng.child("joint"))
+    rank_one = [estimate([a], rng.child("rank1", i)) for i, a in enumerate([1, 2])]
+    rep = compare_multiplicativity(q3, KIND_CONGRUENCE, len(D), joint, rank_one)
     assert rep.passed
 
 

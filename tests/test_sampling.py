@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonarch.errors import InsufficientPrecision
+from nonarch.errors import DyadicField, InsufficientPrecision, InvalidParam
 from nonarch.field import FieldParams
 from nonarch.characters import chi
 from nonarch.matrices import MatF, singular_numbers, sym_diagonalize
@@ -30,8 +30,6 @@ from nonarch.sampling import (
     haar_gl,
     orbital_push,
     sample_corner,
-    sample_mu_corner,
-    sample_nu_corner,
     uniform_integer,
 )
 
@@ -52,7 +50,7 @@ def test_matrix_sampling_reproducible(q3):
     m2 = haar_gl(RandomStream(7).child("g"), q3, 3)
     assert m1 == m2
     p = DeltaParam((1,), None)
-    s1 = sample_mu_corner(q3, p, 3, RandomStream(7).child("m"))
+    s1 = sample_corner(q3, p, 3, RandomStream(7).child("m"))
     s2 = sample_corner(q3, p, 3, RandomStream(7).child("m"))
     assert s1 == s2
 
@@ -191,17 +189,29 @@ def test_rejection_acceptance_rate_matches_volume():
 
 def test_mu_corner_support_and_zero(q3):
     rng = RandomStream(19)
-    zero = sample_mu_corner(q3, DeltaParam((), None), 3, rng.child("z"))
+    zero = sample_corner(q3, DeltaParam((), None), 3, rng.child("z"))
     assert all(e.is_zero() for e in zero.entries)
-    m = sample_mu_corner(q3, DeltaParam((1,), None), 2, rng.child("m"))
+    m = sample_corner(q3, DeltaParam((1,), None), 2, rng.child("m"))
     assert all(e.is_zero() or e.ord >= -1 for e in m.entries)
+
+
+def test_corner_rejects_invalid_parameters(q3):
+    rng = RandomStream(3)
+    with pytest.raises(InvalidParam, match="head is not non-increasing"):
+        sample_corner(q3, DeltaParam((1, 2), None), 2, rng)
+    with pytest.raises(InvalidParam, match="kkp is not strictly decreasing"):
+        sample_corner(q3, OmegaParam(None, (), (1, 1)), 2, rng)
+    with pytest.raises(InvalidParam, match="not a parameter object"):
+        sample_corner(q3, (1, 2), 2, rng)
+    with pytest.raises(DyadicField):  # the field is checked before the parameter
+        sample_corner(FieldParams("padic", 2, 8), OmegaParam(None, (), (1, 1)), 2, rng)
 
 
 def test_nu_corner_symmetric_and_rank_one(q3):
     rng = RandomStream(23)
-    s = sample_nu_corner(q3, OmegaParam(0, (2,), (1,)), 4, rng.child("s"))
+    s = sample_corner(q3, OmegaParam(0, (2,), (1,)), 4, rng.child("s"))
     assert s.is_symmetric()
-    r1 = sample_nu_corner(q3, OmegaParam(None, (0,), ()), 2, rng.child("r"))
+    r1 = sample_corner(q3, OmegaParam(None, (0,), ()), 2, rng.child("r"))
     minor = r1[0, 0] * r1[1, 1] - r1[0, 1] * r1[1, 0]
     assert minor.is_vanishing() or minor.is_zero() or minor.ord > q3.precision - 3
 
@@ -210,7 +220,7 @@ def test_haar_tail_corner_matches_indicator(q3):
     # Haar-type parameter: empirical chi average at a non-integral argument
     rng = RandomStream(29)
     count = 4000
-    samples = [sample_mu_corner(q3, DeltaParam((), 0), 2, rng.child(i)) for i in range(count)]
+    samples = [sample_corner(q3, DeltaParam((), 0), 2, rng.child(i)) for i in range(count)]
     A = MatF.diagonal(q3, [q3.uniformizer_pow(-1), q3.zero()])
     est = empirical_charfun(samples, A)
     assert abs(est.mean) <= 3 / math.sqrt(count)
@@ -241,7 +251,7 @@ def test_nu_corner_single_factor_charfun(q3):
     rng = RandomStream(31)
     count = 4000
     om = OmegaParam(None, (0,), ())
-    samples = [sample_nu_corner(q3, om, 2, rng.child(i)) for i in range(count)]
+    samples = [sample_corner(q3, om, 2, rng.child(i)) for i in range(count)]
     x = q3.uniformizer_pow(-1)
     A = MatF.diagonal(q3, [x, q3.zero()])
     est = empirical_charfun(samples, A)
@@ -419,7 +429,7 @@ def test_corner_invariant_under_push(q3):
     rng = RandomStream(41)
     count = 2500
     par = DeltaParam((1,), None)
-    samples = [sample_mu_corner(q3, par, 2, rng.child("s", i)) for i in range(count)]
+    samples = [sample_corner(q3, par, 2, rng.child("s", i)) for i in range(count)]
     pushed = [
         orbital_push(s, KIND_TWO_SIDED, rng.child("p", i)) for i, s in enumerate(samples)
     ]
