@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: field-info, gauss-sum, theta, snf, symdiag, charfun, sample,
-oplus, verify, converge.  Exit codes: 0 on success, 1 on usage or runtime
-errors, 2 when a verification suite fails.  Every randomized subcommand
-prints the seed it used.
+oplus, verify, converge.  Each takes --field, --out and --format; sample,
+verify and converge also take --seed, and verify and converge --samples.
+Exit codes: 0 on success, 1 on usage or runtime errors, 2 when a
+verification suite fails, including a check the library refuses at the
+given field or precision.  Every randomized subcommand prints the seed it
+used.
 """
 
 from __future__ import annotations
@@ -87,67 +90,74 @@ def _flatten(obj, prefix=""):
     return flat
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _at_least(floor: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+
+    return parse
+
+
+def _add_command(sub, name: str, handler, summary: str, seed: bool = False, samples: bool = False):
+    """A subparser with the options every subcommand takes, plus --seed and
+    --samples where its handler reads them."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(handler=handler)
     p.add_argument("--field", default="padic:p=3,prec=12", help="padic:p=<p>,prec=<N> | laurent:p=<p>,prec=<N>")
-    p.add_argument("--seed", type=int, default=1, help="64-bit seed for randomized subcommands")
-    p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
+    if seed:
+        p.add_argument("--seed", type=int, default=1, help="64-bit seed")
+    if samples:
+        p.add_argument("--samples", type=_at_least(MIN_MC_SAMPLES), default=100_000, help="Monte Carlo sample count")
     p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nonarch", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("field-info", help="print the field constants")
-    _add_common(p)
+    _add_command(sub, "field-info", _cmd_field_info, "print the field constants")
 
-    p = sub.add_parser("gauss-sum", help="quadratic Gauss sum over the residue field")
-    _add_common(p)
+    p = _add_command(sub, "gauss-sum", _cmd_gauss_sum, "quadratic Gauss sum over the residue field")
     p.add_argument("--a", type=int, default=1, help="nonzero twist a")
 
-    p = sub.add_parser("theta", help="kernel value at an element")
-    _add_common(p)
+    p = _add_command(sub, "theta", _cmd_theta, "kernel value at an element")
     p.add_argument("--x", required=True, help='element, e.g. "ord=-2,unit=1"')
     p.add_argument("--kind", choices=("square", "bilinear"), default="square")
 
-    p = sub.add_parser("snf", help="Smith normal form of a square matrix (JSON)")
-    _add_common(p)
+    p = _add_command(sub, "snf", _cmd_snf, "Smith normal form of a square matrix (JSON)")
     p.add_argument("--matrix", required=True, help="MatF JSON or @file")
 
-    p = sub.add_parser("symdiag", help="symmetric congruence diagonalization (JSON)")
-    _add_common(p)
+    p = _add_command(sub, "symdiag", _cmd_symdiag, "symmetric congruence diagonalization (JSON)")
     p.add_argument("--matrix", required=True, help="MatF JSON or @file")
 
-    p = sub.add_parser("charfun", help="closed-form characteristic function of a measure parameter")
-    _add_common(p)
+    p = _add_command(sub, "charfun", _cmd_charfun, "closed-form characteristic function of a measure parameter")
     p.add_argument("--param", required=True, help="parameter JSON or @file")
     p.add_argument("--args", required=True, help="JSON list: integers (two-sided) or element objects (symmetric)")
 
-    p = sub.add_parser("sample", help="draw matrices")
-    _add_common(p)
+    p = _add_command(sub, "sample", _cmd_sample, "draw matrices", seed=True)
     p.add_argument("--kind", choices=("mu", "nu", "haar"), required=True)
     p.add_argument("--param", default=None, help="parameter JSON or @file (mu/nu)")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--count", type=int, default=1)
 
-    p = sub.add_parser("oplus", help="semigroup merge of two parameters")
-    _add_common(p)
+    p = _add_command(sub, "oplus", _cmd_oplus, "semigroup merge of two parameters")
     p.add_argument("--a", required=True, help="parameter JSON or @file")
     p.add_argument("--b", required=True, help="parameter JSON or @file")
 
-    p = sub.add_parser("verify", help="run verification suites (exit 2 on failure)")
-    _add_common(p)
+    p = _add_command(sub, "verify", _cmd_verify, "run verification suites (exit 2 on failure)", seed=True, samples=True)
     p.add_argument(
         "suites",
         nargs="*",
         default=[],
         help=f"any of: {', '.join(verification.SUITE_BUILDERS)}, all (default all)",
     )
-    p.add_argument("--trials", type=int, default=1000, help="decomposition trial count")
+    p.add_argument("--trials", type=_at_least(1), default=1000, help="decomposition trial count")
 
-    p = sub.add_parser("converge", help="orbital-measure convergence experiment")
-    _add_common(p)
+    p = _add_command(sub, "converge", _cmd_converge, "orbital-measure convergence experiment", seed=True, samples=True)
     p.add_argument("--param", required=True, help="parameter JSON or @file")
     p.add_argument("--n-list", default="4,8,16")
     return ap
@@ -274,8 +284,6 @@ def _cmd_verify(args, field: FieldParams):
     names = args.suites or ["all"]
     if "all" in names:
         names = list(verification.SUITE_BUILDERS)
-    if args.samples < MIN_MC_SAMPLES:
-        raise NonArchError(f"--samples must be >= {MIN_MC_SAMPLES} for verification")
     print(f"seed: {args.seed}", file=sys.stderr)
     suites = verification.run_suites(names, field, args.seed, n_samples=args.samples, trials=args.trials)
     report = [s.to_json() for s in suites]
@@ -287,8 +295,6 @@ def _cmd_verify(args, field: FieldParams):
 
 
 def _cmd_converge(args, field: FieldParams):
-    if args.samples < MIN_MC_SAMPLES:
-        raise NonArchError(f"--samples must be >= {MIN_MC_SAMPLES}")
     param = param_from_json(_load_json_arg(args.param))
     n_list = [int(v) for v in args.n_list.split(",")]
     print(f"seed: {args.seed}", file=sys.stderr)
@@ -300,20 +306,6 @@ def _cmd_converge(args, field: FieldParams):
     return 0 if all(r.passed for r in rows) else 2
 
 
-_COMMANDS = {
-    "field-info": _cmd_field_info,
-    "gauss-sum": _cmd_gauss_sum,
-    "theta": _cmd_theta,
-    "snf": _cmd_snf,
-    "symdiag": _cmd_symdiag,
-    "charfun": _cmd_charfun,
-    "sample": _cmd_sample,
-    "oplus": _cmd_oplus,
-    "verify": _cmd_verify,
-    "converge": _cmd_converge,
-}
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -322,7 +314,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         field = parse_field_spec(args.field)
-        return _COMMANDS[args.command](args, field)
+        return args.handler(args, field)
     except NonArchError as exc:
         print(f"{type(exc).module}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -125,16 +125,6 @@ class MatF:
                 out.append(acc)
         return MatF(self.params, self.rows, other.cols, out)
 
-    def __add__(self, other: "MatF") -> "MatF":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in add")
-        return MatF(self.params, self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "MatF") -> "MatF":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in sub")
-        return MatF(self.params, self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
-
     def scale(self, c: FieldElement) -> "MatF":
         return MatF(self.params, self.rows, self.cols, [c * e for e in self.entries])
 

@@ -431,7 +431,7 @@ class BoundReport:
     observed_gap: float
     passed: bool
 
-    def to_json(self, q: int) -> dict:
+    def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "n": self.n,

@@ -3,12 +3,18 @@ stated tolerance and returns a report of per-check rows.  The CLI ``verify``
 subcommand and the acceptance tests both run these, so their pass/fail is
 the same by construction.
 
+Every suite runs through :func:`_suite`, which names and times it.  A
+library refusal (a precision, a field or an enumeration the check cannot
+run at) ends the suite with one failing row that names the error, after the
+rows already written; any other exception is a bug and propagates.
+
 Statistical comparisons use three standard errors; exact comparisons use
 1e-9 on complex values and exact equality on CharValues.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -17,7 +23,7 @@ import numpy as np
 
 from . import orbital, params as params_mod, sampling
 from .characters import KIND_BILINEAR, KIND_SQUARE, chi, theta_bruteforce, theta_closed
-from .errors import PrecisionExhausted, TooLarge
+from .errors import DyadicField, InsufficientPrecision, PrecisionExhausted, TooLarge
 from .field import FieldElement, FieldParams
 from .matrices import MatF, singular_numbers, smith_normal_form, sym_diagonalize
 from .params import DeltaParam, OmegaParam, canonicalize_omega, distinguishing_argument
@@ -33,8 +39,11 @@ class Suite:
     rows: list = dc_field(default_factory=list)
     seconds: float = 0.0
 
-    def check(self, label: str, ok: bool, detail: str = ""):
-        self.rows.append({"label": label, "pass": bool(ok), "detail": detail})
+    def check(self, label: str, ok: bool, report: dict | None = None):
+        row = {"label": label, "pass": bool(ok), "detail": ""}
+        if report is not None:
+            row["report"] = report
+        self.rows.append(row)
 
     @property
     def passed(self) -> bool:
@@ -45,14 +54,29 @@ class Suite:
         return {"suite": self.name, "pass": self.passed, "checks": self.rows}
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> Suite:
-        t0 = time.perf_counter()
-        suite = fn(*args, **kwargs)
-        suite.seconds = time.perf_counter() - t0
-        return suite
+def _suite(name):
+    """Turn a generator of check rows ``(label, ok[, report])`` into a suite
+    function with the same arguments that returns the timed Suite.  ``name``
+    is the suite's name, or a function of its arguments that returns it.  A
+    library refusal ends the suite with one failing row naming the error,
+    after the rows already written."""
 
-    return wrapper
+    def decorate(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> Suite:
+            t0 = time.perf_counter()
+            s = Suite(name(*args, **kwargs) if callable(name) else name)
+            try:
+                for row in body(*args, **kwargs):
+                    s.check(*row)
+            except (InsufficientPrecision, PrecisionExhausted, TooLarge, DyadicField) as exc:
+                s.check(f"refused: {type(exc).__name__}: {exc}", False)
+            s.seconds = time.perf_counter() - t0
+            return s
+
+        return run
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +84,8 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 
-@_timed
-def verify_gauss_sums() -> Suite:
-    s = Suite("gauss-sums")
+@_suite("gauss-sums")
+def verify_gauss_sums():
     for p in (3, 5, 7, 11, 13):
         base = gauss_sum(1, p)
         ok_mag = all(abs(abs(gauss_sum(a, p).complex_value) ** 2 - p) <= EXACT_TOL for a in range(1, p))
@@ -70,15 +93,13 @@ def verify_gauss_sums() -> Suite:
         rho_c, _ = gauss_sum_phase(p)
         comp = base.complex_value / rho_c
         ok_line = abs(comp.imag) <= EXACT_TOL
-        s.check(f"p={p} |sum|^2 = p", ok_mag)
-        s.check(f"p={p} twist identity", ok_sym)
-        s.check(f"p={p} sum lies on rho_q * R", ok_line)
-    return s
+        yield f"p={p} |sum|^2 = p", ok_mag
+        yield f"p={p} twist identity", ok_sym
+        yield f"p={p} sum lies on rho_q * R", ok_line
 
 
-@_timed
-def verify_kernel_oracles() -> Suite:
-    s = Suite("kernel-oracles")
+@_suite("kernel-oracles")
+def verify_kernel_oracles():
     for p in (3, 5, 7):
         field = FieldParams("padic", p, 12)
         eps = field.eps()
@@ -95,8 +116,8 @@ def verify_kernel_oracles() -> Suite:
                 b = theta_closed(x * eps, KIND_SQUARE)
                 if a.mul(a) != b.mul(b) or a.mul(a).is_zero():
                     square_ids = False
-        s.check(f"p={p} closed = brute (max gap {worst:.2e})", worst <= EXACT_TOL)
-        s.check(f"p={p} theta(x)^2 = theta(eps x)^2 != 0", square_ids)
+        yield f"p={p} closed = brute (max gap {worst:.2e})", worst <= EXACT_TOL
+        yield f"p={p} theta(x)^2 = theta(eps x)^2 != 0", square_ids
     # Laurent branch of the same identities at p=3
     field = FieldParams("laurent", 3, 10)
     eps = field.eps()
@@ -106,17 +127,14 @@ def verify_kernel_oracles() -> Suite:
             x = u.shift(ell)
             for kind in (KIND_BILINEAR, KIND_SQUARE):
                 worst = max(worst, abs(theta_closed(x, kind).to_complex(3) - theta_bruteforce(x, kind)))
-    s.check(f"laurent p=3 closed = brute (max gap {worst:.2e})", worst <= EXACT_TOL)
-    return s
+    yield f"laurent p=3 closed = brute (max gap {worst:.2e})", worst <= EXACT_TOL
 
 
-@_timed
-def verify_ball_fourier(field: FieldParams) -> Suite:
+@_suite("ball-fourier")
+def verify_ball_fourier(field: FieldParams):
     """Averages of chi(x y) over x in pi^l O_F equal the indicator of
     y in pi^-l O_F."""
-    s = Suite("ball-fourier")
     p = field.p
-    ok = True
     worst = 0.0
     for l in range(-2, 3):
         for ord_y in range(-3, 4):
@@ -134,8 +152,7 @@ def verify_ball_fourier(field: FieldParams) -> Suite:
                     avg = complex(np.mean(vals))
                 expected = 1.0 if ord_y >= -l else 0.0
                 worst = max(worst, abs(avg - expected))
-    s.check(f"indicator identity on the grid (max gap {worst:.2e})", worst <= EXACT_TOL)
-    return s
+    yield f"indicator identity on the grid (max gap {worst:.2e})", worst <= EXACT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -151,25 +168,20 @@ def _random_entry(field: FieldParams, rng: RandomStream) -> FieldElement:
     return sampling.uniform_integer(field, rng.child("u")).shift(k)
 
 
-def _random_matrix(field: FieldParams, rng: RandomStream, n: int) -> MatF:
-    return MatF.from_rows(
-        field, [[_random_entry(field, rng.child(i, j)) for j in range(n)] for i in range(n)]
-    )
-
-
-def _random_symmetric(field: FieldParams, rng: RandomStream, n: int) -> MatF:
+def _random_matrix(field: FieldParams, rng: RandomStream, n: int, symmetric: bool = False) -> MatF:
+    """Entry (i, j) is drawn on the stream rng.child(i, j); a symmetric
+    matrix draws the entries with i <= j and mirrors them."""
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            e = _random_entry(field, rng.child(i, j))
-            rows[i][j] = e
-            rows[j][i] = e
+        for j in range(i if symmetric else 0, n):
+            rows[i][j] = _random_entry(field, rng.child(i, j))
+            if symmetric:
+                rows[j][i] = rows[i][j]
     return MatF.from_rows(field, rows)
 
 
-@_timed
-def verify_decompositions(field: FieldParams, rng: RandomStream, count: int = 1000, push_count: int = 100) -> Suite:
-    s = Suite(f"decompositions[{field.spec_string()}]")
+@_suite(lambda field, *args, **kwargs: f"decompositions[{field.spec_string()}]")
+def verify_decompositions(field: FieldParams, rng: RandomStream, count: int = 1000, push_count: int = 100):
     ok_rec = ok_gl = ok_sorted = True
     for i in range(count):
         sub = rng.child("snf", i)
@@ -179,26 +191,26 @@ def verify_decompositions(field: FieldParams, rng: RandomStream, count: int = 10
         ok_rec &= res.recompose().agrees(A)
         ok_gl &= res.a.is_gl() and res.b.is_gl()
         ok_sorted &= all(a >= b for a, b in zip(res.sing, res.sing[1:]))
-    s.check(f"SNF recomposition x{count}", ok_rec)
-    s.check("SNF witnesses in GL(n, O_F)", ok_gl)
-    s.check("singular exponents non-increasing", ok_sorted)
+    yield f"SNF recomposition x{count}", ok_rec
+    yield "SNF witnesses in GL(n, O_F)", ok_gl
+    yield "singular exponents non-increasing", ok_sorted
 
     ok_rec = ok_gl = ok_cls = True
     for i in range(count):
         sub = rng.child("sym", i)
         n = int(sub.generator.integers(1, 6))
-        A = _random_symmetric(field, sub.child("mat"), n)
+        A = _random_matrix(field, sub.child("mat"), n, symmetric=True)
         try:
             res = sym_diagonalize(A)
         except PrecisionExhausted as exc:
-            s.check(f"symmetric input {i}: precision exhausted at certified ord {exc.guaranteed_ord}", False)
+            yield f"symmetric input {i}: precision exhausted at certified ord {exc.guaranteed_ord}", False
             continue
         ok_rec &= res.recompose().agrees(A)
         ok_gl &= res.g.is_gl()
         ok_cls &= all(lbl == ("zero",) or isinstance(lbl[0], int) for lbl in res.class_labels())
-    s.check(f"symmetric diagonalization recomposition x{count}", ok_rec)
-    s.check("congruence witnesses in GL(n, O_F)", ok_gl)
-    s.check("diagonal entries are square-class representatives", ok_cls)
+    yield f"symmetric diagonalization recomposition x{count}", ok_rec
+    yield "congruence witnesses in GL(n, O_F)", ok_gl
+    yield "diagonal entries are square-class representatives", ok_cls
 
     base = _random_matrix(field, rng.child("base"), 4)
     sing0 = singular_numbers(base)
@@ -206,16 +218,15 @@ def verify_decompositions(field: FieldParams, rng: RandomStream, count: int = 10
     for i in range(push_count):
         pushed = sampling.orbital_push(base, KIND_TWO_SIDED, rng.child("push", i))
         ok_inv &= singular_numbers(pushed) == sing0
-    s.check(f"Sing invariant under {push_count} two-sided pushes", ok_inv)
+    yield f"Sing invariant under {push_count} two-sided pushes", ok_inv
 
-    sym_base = _random_symmetric(field, rng.child("symbase"), 4)
+    sym_base = _random_matrix(field, rng.child("symbase"), 4, symmetric=True)
     labels0 = sorted(sym_diagonalize(sym_base).class_labels())
     ok_cls_inv = True
     for i in range(push_count // 4):
         pushed = sampling.orbital_push(sym_base, KIND_CONGRUENCE, rng.child("cpush", i))
         ok_cls_inv &= sorted(sym_diagonalize(pushed).class_labels()) == labels0
-    s.check("square-class multiset invariant under congruence pushes", ok_cls_inv)
-    return s
+    yield "square-class multiset invariant under congruence pushes", ok_cls_inv
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +234,13 @@ def verify_decompositions(field: FieldParams, rng: RandomStream, count: int = 10
 # ---------------------------------------------------------------------------
 
 
-def _bound_grid(n: int):
-    # D entries with ord in [-2, 0]; an integer k stands for pi^-k
-    ds = [
-        (2, 1) + (0,) * (n - 2),
-        (1,) * n,
-        (2,) + (0,) * (n - 1),
-        (0,) * n,
-    ]
-    return ds
-
-
-@_timed
-def verify_bounds(field: FieldParams, rng: RandomStream, n_samples: int = 100_000) -> Suite:
-    s = Suite("orbital-bounds")
-    q = field.q
+@_suite("orbital-bounds")
+def verify_bounds(field: FieldParams, rng: RandomStream, n_samples: int = 100_000):
     a_sets = ((1,), (1, 1), (2, 1))
     for kind in (KIND_TWO_SIDED, KIND_CONGRUENCE):
         for n in (4, 6, 8):
-            for di, dvals in enumerate(_bound_grid(n)):
+            # D entries with ord in [-2, 0]; an integer k stands for pi^-k
+            for di, dvals in enumerate(((2, 1) + (0,) * (n - 2), (1,) * n, (2,) + (0,) * (n - 1), (0,) * n)):
                 # shared Haar draws evaluate all A variants plus the rank-one
                 # integrals feeding the multiplicativity comparison
                 probes = [list(av) for av in a_sets] + [[1], [2]]
@@ -251,28 +250,22 @@ def verify_bounds(field: FieldParams, rng: RandomStream, n_samples: int = 100_00
                 rank_one = {1: ests[3], 2: ests[4]}
                 for av, est in zip(a_sets, ests[:3]):
                     rep = orbital.compare_bound(field, kind, list(dvals), list(av), est)
-                    s.rows.append(
-                        {
-                            "label": f"{kind} n={n} D={dvals} A={av}: gap {rep.observed_gap:.2e} <= "
-                            f"{float(rep.bound):.2e}+3se",
-                            "pass": rep.passed,
-                            "detail": "",
-                            "report": rep.to_json(q),
-                        }
+                    yield (
+                        f"{kind} n={n} D={dvals} A={av}: gap {rep.observed_gap:.2e} <= {float(rep.bound):.2e}+3se",
+                        rep.passed,
+                        rep.to_json(),
                     )
                     if len(av) >= 2:
                         mult = orbital.compare_multiplicativity(field, kind, n, est, [rank_one[a] for a in av])
-                        s.check(
+                        yield (
                             f"{kind} n={n} D={dvals} A={av}: uam gap {mult.observed_gap:.2e} <= "
                             f"{float(mult.bound):.2e}+3se",
                             mult.passed,
                         )
-    return s
 
 
-@_timed
-def verify_exact_oracle(field: FieldParams, rng: RandomStream, n_samples: int = 100_000) -> Suite:
-    s = Suite("exact-oracle")
+@_suite("exact-oracle")
+def verify_exact_oracle(field: FieldParams, rng: RandomStream, n_samples: int = 100_000):
     q = field.q
     cases = [
         (KIND_TWO_SIDED, [1], [1], 2),
@@ -286,28 +279,27 @@ def verify_exact_oracle(field: FieldParams, rng: RandomStream, n_samples: int = 
         try:
             exact = orbital.exact_orbital_integral(field, kind, dv, av, level)
         except TooLarge as exc:
-            s.check(f"{kind} D={dv} A={av}: level {level} exceeds the enumeration guard ({exc})", False)
+            yield f"{kind} D={dv} A={av}: level {level} exceeds the enumeration guard ({exc})", False
             continue
         mc_rng = rng.child("mc", kind, tuple(dv), tuple(av))
         est = orbital.mc_orbital_multi(field, kind, dv, [av], n_samples, mc_rng)[0]
         gap_mc = abs(est.mean - exact)
-        s.check(f"{kind} D={dv} A={av}: |MC - exact| {gap_mc:.2e} <= 3se", gap_mc <= 3 * est.stderr + 1e-12)
+        yield f"{kind} D={dv} A={av}: |MC - exact| {gap_mc:.2e} <= 3se", gap_mc <= 3 * est.stderr + 1e-12
         cv = orbital.product_formula(field, kind, dv, av).to_complex(q)
         bound = float(orbital.error_bound(kind, len(dv), len(av), q).factorization)
         gap_cf = abs(exact - cv)
-        s.check(f"{kind} D={dv} A={av}: |exact - product| {gap_cf:.2e} <= bound {bound:.2e}", gap_cf <= bound + EXACT_TOL)
+        yield f"{kind} D={dv} A={av}: |exact - product| {gap_cf:.2e} <= bound {bound:.2e}", gap_cf <= bound + EXACT_TOL
         try:
             hi = orbital.exact_orbital_integral(field, kind, dv, av, level + 1)
         except TooLarge:
             hi = None
         if hi is not None:
-            s.check(f"{kind} D={dv} A={av}: level stability", abs(exact - hi) <= 1e-12)
+            yield f"{kind} D={dv} A={av}: level stability", abs(exact - hi) <= 1e-12
         perm = list(reversed(dv))
-        s.check(
+        yield (
             f"{kind} D={dv}: permutation invariance",
             abs(exact - orbital.exact_orbital_integral(field, kind, perm, av, level)) <= 1e-12,
         )
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -315,44 +307,30 @@ def verify_exact_oracle(field: FieldParams, rng: RandomStream, n_samples: int = 
 # ---------------------------------------------------------------------------
 
 
-@_timed
-def verify_measure_charfun(field: FieldParams, rng: RandomStream, n_samples: int = 100_000) -> Suite:
-    s = Suite("measure-charfun")
+@_suite("measure-charfun")
+def verify_measure_charfun(field: FieldParams, rng: RandomStream, n_samples: int = 100_000):
     n = 6  # corner size
     tol = 3 / math.sqrt(n_samples)
     q = field.q
-
     par = DeltaParam((2, 1), -1)
-    ells = list(range(-10, 10))
-    probes = [[field.uniformizer_pow(-ell)] for ell in ells]
-    ests = orbital.measure_charfun_batch(field, par, n, n_samples, probes, rng.child("mu"))
-    worst = 0.0
-    for ell, est in zip(ells, ests):
-        closed = par.char_single(ell).to_complex(q)
-        worst = max(worst, abs((est.mean - closed).real), abs((est.mean - closed).imag))
-    s.check(f"two-sided family: 20 probes, worst component gap {worst:.2e} <= {tol:.2e}", worst <= tol)
-
     om = OmegaParam(-1, (1,), (0,))
-    eps = field.eps()
-    xs = []
-    for ell in range(-2, 3):
-        xs.append(field.uniformizer_pow(-ell))
-        xs.append(eps.shift(-ell))
-    for ell in range(3, 8):
-        xs.append(field.uniformizer_pow(-ell))
-        xs.append(eps.shift(-ell))
-    probes_nu = [[x] for x in xs]
-    ests = orbital.measure_charfun_batch(field, om, n, n_samples, probes_nu, rng.child("nu"))
-    worst = 0.0
-    for x, est in zip(xs, ests):
-        closed = om.char_single(x).to_complex(q)
-        worst = max(worst, abs((est.mean - closed).real), abs((est.mean - closed).imag))
-    s.check(f"congruence family: 20 probes, worst component gap {worst:.2e} <= {tol:.2e}", worst <= tol)
+    # probe arguments: an integer ell stands for pi^-ell.  The congruence
+    # ones are a generator, so that a dyadic field refuses eps only after
+    # the two-sided row is written.
+    sym_xs = (x for ell in range(-2, 8) for x in (field.uniformizer_pow(-ell), field.eps().shift(-ell)))
+    for label, param, stream, xs in (("two-sided", par, "mu", range(-10, 10)), ("congruence", om, "nu", sym_xs)):
+        xs = list(xs)
+        ests = orbital.measure_charfun_batch(field, param, n, n_samples, [[x] for x in xs], rng.child(stream))
+        worst = 0.0
+        for x, est in zip(xs, ests):
+            closed = param.char_single(x).to_complex(q)
+            worst = max(worst, abs((est.mean - closed).real), abs((est.mean - closed).imag))
+        yield f"{label} family: {len(xs)} probes, worst component gap {worst:.2e} <= {tol:.2e}", worst <= tol
 
     # empirical multiplicativity across two diagonal arguments
     for label, param, args in (
         ("two-sided", par, [field.uniformizer_pow(0), field.uniformizer_pow(-1)]),
-        ("congruence", om, [field.uniformizer_pow(1), eps.shift(0)]),
+        ("congruence", om, [field.uniformizer_pow(1), field.eps()]),
     ):
         probes2 = [[args[0], args[1]], [args[0]], [args[1]]]
         joint, m1, m2 = orbital.measure_charfun_batch(
@@ -360,8 +338,7 @@ def verify_measure_charfun(field: FieldParams, rng: RandomStream, n_samples: int
         )
         gap = abs(joint.mean - m1.mean * m2.mean)
         budget = 3 * (joint.stderr + m1.stderr + m2.stderr)
-        s.check(f"{label} multiplicativity: gap {gap:.2e} <= {budget:.2e}", gap <= budget)
-    return s
+        yield f"{label} multiplicativity: gap {gap:.2e} <= {budget:.2e}", gap <= budget
 
 
 # ---------------------------------------------------------------------------
@@ -369,21 +346,17 @@ def verify_measure_charfun(field: FieldParams, rng: RandomStream, n_samples: int
 # ---------------------------------------------------------------------------
 
 
-@_timed
-def verify_convergence(field: FieldParams, rng: RandomStream, n_samples: int = 100_000) -> Suite:
-    s = Suite("orbital-convergence")
-    ns = (4, 8, 16)
-    rows = orbital.convergence_experiment(field, DeltaParam((1,), None), ns, n_samples, rng.child("mu"))
-    for row in rows:
-        s.check(f"two-sided n={row.n}: gap {row.max_gap:.2e} <= {row.bound:.2e}+3se", row.passed)
-    bounds = [row.bound for row in rows]
-    s.check("two-sided bound sequence strictly decreasing", all(a > b for a, b in zip(bounds, bounds[1:])))
-    rows = orbital.convergence_experiment(field, OmegaParam(None, (1,), ()), ns, n_samples, rng.child("nu"))
-    for row in rows:
-        s.check(f"congruence n={row.n}: gap {row.max_gap:.2e} <= {row.bound:.2e}+3se", row.passed)
-    bounds = [row.bound for row in rows]
-    s.check("congruence bound sequence strictly decreasing", all(a > b for a, b in zip(bounds, bounds[1:])))
-    return s
+@_suite("orbital-convergence")
+def verify_convergence(field: FieldParams, rng: RandomStream, n_samples: int = 100_000):
+    for label, param, stream in (
+        ("two-sided", DeltaParam((1,), None), "mu"),
+        ("congruence", OmegaParam(None, (1,), ()), "nu"),
+    ):
+        rows = orbital.convergence_experiment(field, param, (4, 8, 16), n_samples, rng.child(stream))
+        for row in rows:
+            yield f"{label} n={row.n}: gap {row.max_gap:.2e} <= {row.bound:.2e}+3se", row.passed
+        bounds = [row.bound for row in rows]
+        yield f"{label} bound sequence strictly decreasing", all(a > b for a, b in zip(bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -411,35 +384,30 @@ def _random_omega(rng: RandomStream) -> OmegaParam:
     return OmegaParam(k, kk, kkp)
 
 
-@_timed
-def verify_uniqueness(field: FieldParams, rng: RandomStream) -> Suite:
-    s = Suite("uniqueness")
-    ok = True
-    done = 0
+def _unequal_pairs(draw, rng: RandomStream, tags: tuple, count: int):
+    """The first ``count`` unequal pairs among draw(rng.child(tags[0], i)),
+    draw(rng.child(tags[1], i)) for i = 0, 1, ..."""
     i = 0
-    while done < 500:
-        a = _random_delta(rng.child("da", i))
-        b = _random_delta(rng.child("db", i))
+    while count:
+        a, b = draw(rng.child(tags[0], i)), draw(rng.child(tags[1], i))
         i += 1
-        if a == b:
-            continue
+        if a != b:
+            yield a, b
+            count -= 1
+
+
+@_suite("uniqueness")
+def verify_uniqueness(field: FieldParams, rng: RandomStream):
+    ok = True
+    for a, b in _unequal_pairs(_random_delta, rng, ("da", "db"), 500):
         ell = distinguishing_argument(a, b)
         ok &= a.char_single(ell) != b.char_single(ell)
-        done += 1
-    s.check("500 unequal Delta pairs separated at the constructed argument", ok)
+    yield "500 unequal Delta pairs separated at the constructed argument", ok
 
     ok = True
-    done = 0
-    i = 0
-    while done < 200:
-        a = _random_omega(rng.child("oa", i))
-        b = _random_omega(rng.child("ob", i))
-        i += 1
-        if a == b:
-            continue
+    for a, b in _unequal_pairs(_random_omega, rng, ("oa", "ob"), 200):
         ok &= params_mod.separate_omega(a, b, field) is not None
-        done += 1
-    s.check("200 unequal canonical Omega pairs separated on the probe grid", ok)
+    yield "200 unequal canonical Omega pairs separated on the probe grid", ok
 
     ok_idem = ok_pres = True
     for i in range(60):
@@ -454,18 +422,16 @@ def verify_uniqueness(field: FieldParams, rng: RandomStream) -> Suite:
         uncanonical = OmegaParam(raw.k, kk_raw, kkp_raw)
         for x in params_mod.probe_grid(field):
             ok_pres &= uncanonical.char_single(x) == canon.char_single(x)
-    s.check("canonicalize_omega idempotent and valid", ok_idem)
-    s.check("canonicalize_omega preserves the characteristic function on the probe grid", ok_pres)
-    return s
+    yield "canonicalize_omega idempotent and valid", ok_idem
+    yield "canonicalize_omega preserves the characteristic function on the probe grid", ok_pres
 
 
-@_timed
-def verify_semigroup(rng: RandomStream) -> Suite:
-    s = Suite("semigroup")
+@_suite("semigroup")
+def verify_semigroup(rng: RandomStream):
     a = DeltaParam((6, 2, 2), -3)
     b = DeltaParam((4, 3, 0, -1), None)
     merged = params_mod.convolve(a, b)
-    s.check(
+    yield (
         "worked merge example equals (6,4,3,2,2,0,-1 | const -3)",
         merged == DeltaParam((6, 4, 3, 2, 2, 0, -1), -3),
     )
@@ -480,11 +446,10 @@ def verify_semigroup(rng: RandomStream) -> Suite:
         ok_assoc &= params_mod.convolve(xy, z) == params_mod.convolve(x, params_mod.convolve(y, z))
         ok_comm &= xy == params_mod.convolve(y, x)
         ok_ident &= params_mod.convolve(x, DeltaParam((), None)) == x
-    s.check("char homomorphism on 200 pairs x 9 arguments", ok_hom)
-    s.check("associative", ok_assoc)
-    s.check("commutative", ok_comm)
-    s.check("identity element", ok_ident)
-    return s
+    yield "char homomorphism on 200 pairs x 9 arguments", ok_hom
+    yield "associative", ok_assoc
+    yield "commutative", ok_comm
+    yield "identity element", ok_ident
 
 
 # ---------------------------------------------------------------------------

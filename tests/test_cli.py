@@ -248,6 +248,10 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "theta", "--field", "padic:p=4,prec=3", "--x", "ord=0,unit=1")[0] == 1
     assert run(capsys, "snf", "--matrix", "not-json")[0] == 1
     assert run(capsys, "verify", "identities", "--samples", "10")[0] == 1
+    assert run(capsys, "verify", "decompositions", "--trials", "0")[0] == 1
+    one = '{"rows": 1, "cols": 1, "entries": [{"ord": 0, "digits": [1]}]}'
+    assert run(capsys, "snf", "--matrix", one)[0] == 0
+    assert run(capsys, "snf", "--seed", "1", "--matrix", one)[0] == 1
     assert run(capsys, "no-such-command")[0] == 1
 
 
@@ -262,11 +266,12 @@ def test_malformed_param_is_one_error_line(capsys, kind, payload):
 
 
 def test_charfun_probe_beyond_the_precision_names_the_characters_error(capsys):
-    # the deepest probe needs more digits than prec=8 stores: the suite stops
-    # with the error chi raises for the same shortfall
-    code, _, err = run(capsys, "verify", "charfun", "--field", "padic:p=3,prec=8", "--samples", "100")
-    assert code == 1
-    assert "characters: InsufficientPrecision" in err
+    # the deepest probe needs more digits than prec=8 stores: the suite ends
+    # with a failing row naming the error chi raises for the same shortfall
+    code, out, _ = run(capsys, "verify", "charfun", "--field", "padic:p=3,prec=8", "--samples", "100")
+    assert code == 2
+    last = json.loads(out)[-1]["checks"][-1]
+    assert not last["pass"] and last["label"].startswith("refused: InsufficientPrecision")
 
 
 def test_sample_requires_min_count_invariant(capsys):

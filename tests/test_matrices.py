@@ -15,7 +15,7 @@ from nonarch.matrices import (
     sym_diagonalize,
 )
 from nonarch.sampling import KIND_CONGRUENCE, RandomStream, haar_gl, orbital_push
-from nonarch.verification import _random_matrix, _random_symmetric
+from nonarch.verification import _random_matrix
 
 NEG_INF = -math.inf
 
@@ -193,7 +193,7 @@ def test_symdiag_recomposition_random(family, p):
     rng = RandomStream(41)
     for i in range(120):
         n = int(rng.child("n", i).integers(1, 6))
-        A = _random_symmetric(field, rng.child("m", i), n)
+        A = _random_matrix(field, rng.child("m", i), n, symmetric=True)
         res = sym_diagonalize(A)
         assert res.recompose().agrees(A)
         assert res.g.is_gl()
@@ -201,7 +201,7 @@ def test_symdiag_recomposition_random(family, p):
 
 def test_symdiag_class_multiset_congruence_invariant(q3):
     rng = RandomStream(47)
-    A = _random_symmetric(q3, rng.child("base"), 4)
+    A = _random_matrix(q3, rng.child("base"), 4, symmetric=True)
     labels = sorted(sym_diagonalize(A).class_labels())
     for i in range(20):
         pushed = orbital_push(A, KIND_CONGRUENCE, rng.child("p", i))

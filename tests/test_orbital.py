@@ -457,7 +457,7 @@ def test_compare_bound_report(q3):
     est = mc_orbital_multi(q3, KIND_TWO_SIDED, [1, 0, 0, 0], [[1]], 20_000, RandomStream(21))[0]
     rep = compare_bound(q3, KIND_TWO_SIDED, [1, 0, 0, 0], [1], est)
     assert rep.passed
-    payload = rep.to_json(3)
+    payload = rep.to_json()
     assert payload["pass"] and payload["kind"] == KIND_TWO_SIDED
     assert "/" in payload["paper_bound"]
 

@@ -1,9 +1,15 @@
 """Verification suites: failures are reported as rows, never raised."""
 
+import json
+import re
+
+import pytest
+
 from nonarch.cli import MIN_MC_SAMPLES, main
+from nonarch.errors import DimensionMismatch, TooLarge
 from nonarch.field import FieldParams
 from nonarch.sampling import RandomStream
-from nonarch.verification import verify_decompositions, verify_exact_oracle, verify_measure_charfun
+from nonarch.verification import _suite, verify_decompositions, verify_exact_oracle, verify_measure_charfun
 
 SEED = 20260811
 
@@ -58,3 +64,42 @@ def test_exact_oracle_reports_guarded_levels(tmp_path):
     assert len(suite.rows) == len(failed) + 2 * 4
     out = str(tmp_path / "report.json")
     assert main(["verify", "--field", field.spec_string(), "--samples", str(MIN_MC_SAMPLES), "--out", out, "bounds"]) == 2
+
+
+@pytest.mark.parametrize(
+    "suite, spec",
+    [
+        ("charfun", "padic:p=3,prec=8"),
+        ("charfun", "padic:p=7,prec=8"),
+        ("charfun", "laurent:p=5,prec=10"),
+        ("identities", "padic:p=3,prec=3"),
+        ("bounds", "padic:p=3,prec=3"),
+    ]
+    + [
+        (suite, f"{family}:p=2,prec=12")
+        for family in ("padic", "laurent")
+        for suite in ("bounds", "charfun", "converge", "uniqueness")
+    ],
+)
+def test_library_refusal_is_a_failing_row(suite, spec, tmp_path):
+    # a field or precision the library refuses ends the suite with a row
+    # naming the error: verify exits 2, not 1
+    out = tmp_path / "report.json"
+    assert main(["verify", suite, "--field", spec, "--samples", "100", "--out", str(out)]) == 2
+    failed = [row["label"] for s in json.loads(out.read_text()) for row in s["checks"] if not row["pass"]]
+    assert re.match(r"refused: (InsufficientPrecision|PrecisionExhausted|TooLarge|DyadicField): ", failed[-1])
+
+
+def test_runner_keeps_the_rows_before_a_refusal_and_raises_a_bug():
+    @_suite("toy")
+    def toy(error):
+        yield "first", True
+        raise error
+
+    suite = toy(TooLarge("over the guard"))
+    assert [(row["label"], row["pass"]) for row in suite.rows] == [
+        ("first", True),
+        ("refused: TooLarge: over the guard", False),
+    ]
+    with pytest.raises(DimensionMismatch):
+        toy(DimensionMismatch("a bug, not a refusal"))
