@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "sample", _cmd_sample, "draw matrices", seed=True)
     p.add_argument("--kind", choices=("mu", "nu", "haar"), required=True)
     p.add_argument("--param", default=None, help="parameter JSON or @file (mu/nu)")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--n", type=_at_least(1), default=4)
+    p.add_argument("--count", type=_at_least(1), default=1)
 
     p = _add_command(sub, "oplus", _cmd_oplus, "semigroup merge of two parameters")
     p.add_argument("--a", required=True, help="parameter JSON or @file")

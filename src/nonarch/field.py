@@ -35,9 +35,6 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from sympy import isprime
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
 from .errors import (
     DivisionByZero,
     DyadicField,
@@ -63,6 +60,61 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+# Miller-Rabin with the prime bases up to 41 is proven to decide primality for
+# every n below this bound (Sorenson and Webster, 2015); 3317044064679887385961981
+# itself is a composite that passes all of them.
+_PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for every n < _PRIME_TEST_BOUND."""
+    if n < 2:
+        return False
+    for b in _PRIME_TEST_BASES:
+        if n % b == 0:
+            return n == b
+    s = _vp(n - 1, 2)
+    d = (n - 1) >> s
+    for b in _PRIME_TEST_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _least_nonsquare(p: int) -> int:
+    """Smallest digit in {2,...,p-1} that is a nonsquare mod the odd prime p."""
+    return next(c for c in range(2, p) if legendre(c, p) == -1)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A square root of the nonzero square a mod the odd prime p, by
+    Tonelli-Shanks (H. Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.5.1)."""
+    e = _vp(p - 1, 2)
+    q = (p - 1) >> e
+    # y generates the 2-Sylow subgroup of F_p^*, of order 2^r
+    y, r = pow(_least_nonsquare(p), q, p), e
+    x = pow(a, (q - 1) // 2, p)
+    b = a * x * x % p  # a^q, of order dividing 2^(r-1)
+    x = a * x % p  # a^((q+1)/2), so x^2 = a * b
+    while b != 1:
+        m, t = 1, b * b % p  # least m with b^(2^m) = 1
+        while t != 1:
+            m, t = m + 1, t * t % p
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return x
+
+
 def _base_p_digits(n: int, p: int, count: int) -> tuple[int, ...]:
     """The lowest ``count`` base-p digits of n >= 0."""
     out = []
@@ -84,7 +136,11 @@ class FieldParams:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InvalidParam(f"unknown field family {self.family!r}")
-        if not isprime(self.p):
+        if not isinstance(self.p, int):
+            raise InvalidParam(f"residue characteristic must be an int, got {self.p!r}")
+        if self.p >= _PRIME_TEST_BOUND:
+            raise InvalidParam(f"residue characteristic must be below {_PRIME_TEST_BOUND}, got {self.p}")
+        if not _is_prime(self.p):
             raise InvalidParam(f"residue characteristic must be prime, got {self.p}")
         if self.precision < 1:
             raise InvalidParam("precision must be >= 1")
@@ -108,10 +164,7 @@ class FieldParams:
     def nonsquare_unit_digit(self) -> int:
         """Smallest digit in {2,...,p-1} that is a nonsquare mod p."""
         self.require_nondyadic("a nonsquare unit")
-        for c in range(2, self.p):
-            if legendre(c, self.p) == -1:
-                return c
-        raise AssertionError("unreachable: F_p (p odd) always has a nonsquare")
+        return _least_nonsquare(self.p)
 
     # -- cached constants (filled on first use) ----------------------------
     @cached_property
@@ -443,7 +496,7 @@ def _canonical_residue_sqrt(params: FieldParams, a0: int) -> int:
     """The residue square root whose representative is <= (p-1)/2."""
     roots = params._residue_sqrts
     if a0 not in roots:
-        r = sqrt_mod(a0, params.p)
+        r = _sqrt_mod_prime(a0, params.p)
         roots[a0] = min(r, params.p - r)
     return roots[a0]
 

@@ -249,6 +249,9 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "snf", "--matrix", "not-json")[0] == 1
     assert run(capsys, "verify", "identities", "--samples", "10")[0] == 1
     assert run(capsys, "verify", "decompositions", "--trials", "0")[0] == 1
+    assert run(capsys, "sample", "--kind", "haar", "--count", "-3")[0] == 1
+    assert run(capsys, "sample", "--kind", "haar", "--n", "0")[0] == 1
+    assert run(capsys, "sample", "--kind", "haar", "--n", "-2")[0] == 1
     one = '{"rows": 1, "cols": 1, "entries": [{"ord": 0, "digits": [1]}]}'
     assert run(capsys, "snf", "--matrix", one)[0] == 0
     assert run(capsys, "snf", "--seed", "1", "--matrix", one)[0] == 1
