@@ -56,7 +56,7 @@ from .params import (
     truncate_rule,
     validate,
 )
-from .residue import GaussSumResult, ResidueElement, counting, enumerate_gl, gauss_sum, legendre
+from .residue import GaussSumResult, counting, enumerate_gl, gauss_sum, legendre
 from .sampling import (
     KIND_CONGRUENCE,
     KIND_TWO_SIDED,

@@ -42,7 +42,7 @@ from .errors import (
     NotIntegral,
     PrecisionExhausted,
 )
-from .residue import ResidueElement, legendre
+from .residue import legendre
 
 ORD_INF = math.inf
 
@@ -437,19 +437,13 @@ class FieldElement:
         q, k = self.params.q, self.ord
         return Fraction(1, q**k) if k >= 0 else Fraction(q ** (-k))
 
-    def residue(self) -> ResidueElement:
-        """Reduction mod pi of an integral element."""
-        if self.is_zero():
-            return ResidueElement(0, self.params.p)
-        if self.is_vanishing():
-            if self.ord >= 1:
-                return ResidueElement(0, self.params.p)
+    def residue(self) -> int:
+        """Reduction mod pi of an integral element, as an int in [0, p)."""
+        if self.is_vanishing() and self.ord < 1:
             raise PrecisionExhausted("residue not determined", guaranteed_ord=self.ord)
         if self.ord < 0:
             raise NotIntegral(f"ord = {self.ord} < 0")
-        if self.ord > 0:
-            return ResidueElement(0, self.params.p)
-        return ResidueElement(self.leading_digit(), self.params.p)
+        return self.leading_digit() if self.ord == 0 else 0
 
     # -- serialization -------------------------------------------------------
     def to_json(self) -> dict:

@@ -154,13 +154,6 @@ class MatF:
         return acc if sign == 1 else -acc
 
     # -- GL membership ----------------------------------------------------------
-    def residue_rows(self):
-        """Integer matrix of residues mod pi; requires integral entries."""
-        out = []
-        for i in range(self.rows):
-            out.append([int(e.residue()) for e in self.row(i)])
-        return out
-
     def is_gl(self) -> bool:
         """Membership in GL(n, O_F): integral entries and unit determinant
         (equivalently: invertible residue matrix)."""
@@ -168,7 +161,8 @@ class MatF:
             return False
         if any((not e.is_zero()) and e.ord < 0 for e in self.entries):
             return False
-        return _det_mod(self.residue_rows(), self.params.p) != 0
+        rows = [[e.residue() for e in self.row(i)] for i in range(self.rows)]
+        return _det_mod(rows, self.params.p) != 0
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(

@@ -54,15 +54,13 @@ _EXACT_ENUM_GUARD = 8_000_000
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo estimate of a complex mean with per-component standard
-    errors; ``stderr`` combines them as sqrt(se_re^2 + se_im^2)."""
+    """Monte Carlo estimate of a complex mean; ``stderr`` combines the
+    standard errors of the real and imaginary parts as sqrt(se_re^2 + se_im^2)."""
 
     mean: complex
     stderr: float
     n_samples: int
     seed: int
-    stderr_re: float = 0.0
-    stderr_im: float = 0.0
 
 
 class _Acc:
@@ -89,7 +87,7 @@ class _Acc:
         var_im = max(0.0, (self.sim2 - n * (self.sim / n) ** 2) / (n - 1))
         se_re = math.sqrt(var_re / n)
         se_im = math.sqrt(var_im / n)
-        return McEstimate(mean, math.hypot(se_re, se_im), n, seed, se_re, se_im)
+        return McEstimate(mean, math.hypot(se_re, se_im), n, seed)
 
 
 # ---------------------------------------------------------------------------

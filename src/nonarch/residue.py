@@ -1,5 +1,7 @@
-"""Arithmetic in the prime residue field F_p, quadratic Gauss sums, and the
-matrix-counting formulas over F_q that feed the orbital error bounds.
+"""The prime residue field F_p, its elements plain ints in [0, p): Legendre
+symbols, quadratic Gauss sums, and matrix counting over F_q, a reference the
+tests check the Haar sampler and the enumeration against (the orbital error
+bounds use :func:`nonarch.orbital.full_rank_fraction`).
 
 Gauss sums are returned both as floating complex numbers (direct summation)
 and symbolically as sign * rho_q * sqrt(q), where rho_q is 1 for q = 1 mod 4
@@ -19,83 +21,14 @@ from .errors import DyadicField, TooLarge
 ENUM_GUARD = 10**8
 
 
-@dataclass(frozen=True)
-class ResidueElement:
-    """An element of F_p, stored as its canonical representative in [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"residue modulus must be >= 2, got {self.p}")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other) -> "ResidueElement":
-        if isinstance(other, ResidueElement):
-            if other.p != self.p:
-                raise ValueError("mixed residue moduli")
-            return other
-        return ResidueElement(int(other), self.p)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return ResidueElement(self.value + o.value, self.p)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return ResidueElement(self.value - o.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return ResidueElement(self.value * o.value, self.p)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ResidueElement(-self.value, self.p)
-
-    def inverse(self) -> "ResidueElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return ResidueElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"ResidueElement({self.value}, F_{self.p})"
-
-
-def legendre(a: ResidueElement | int, p: int | None = None) -> int:
+def legendre(a: int, p: int) -> int:
     """Quadratic character of F_p extended by 0 at 0: +1 on nonzero squares,
     -1 on nonsquares (Euler's criterion)."""
-    if isinstance(a, ResidueElement):
-        value, p = a.value, a.p
-    else:
-        if p is None:
-            raise TypeError("legendre(int, p) needs the modulus")
-        value = a % p
+    value = a % p
     if value == 0:
         return 0
     e = pow(value, (p - 1) // 2, p)
     return 1 if e == 1 else -1
-
-
-def additive_character(a: ResidueElement | int, x: ResidueElement | int, p: int | None = None) -> complex:
-    """tau_a(x) = exp(2*pi*i*a*x/p); tau_0 is the trivial character."""
-    if isinstance(a, ResidueElement):
-        p = a.p
-        a = a.value
-    if isinstance(x, ResidueElement):
-        x = x.value
-    if p is None:
-        raise TypeError("additive_character needs the modulus")
-    return cmath.exp(2j * cmath.pi * ((a * x) % p) / p)
 
 
 def gauss_sum_phase(q: int) -> tuple[complex, str]:
@@ -120,15 +53,10 @@ class GaussSumResult:
         return (self.sign, self.rho)
 
 
-def gauss_sum(a: ResidueElement | int, p: int | None = None) -> GaussSumResult:
+def gauss_sum(a: int, p: int) -> GaussSumResult:
     """Direct-summation quadratic Gauss sum for the standard character
     tau(x) = exp(2*pi*i*x/p), twisted by a != 0."""
-    if isinstance(a, ResidueElement):
-        value, p = a.value, a.p
-    else:
-        if p is None:
-            raise TypeError("gauss_sum(int, p) needs the modulus")
-        value = a % p
+    value = a % p
     if p % 2 == 0:
         raise DyadicField("Gauss sums are computed for odd p only")
     if value == 0:
@@ -143,7 +71,9 @@ def gauss_sum(a: ResidueElement | int, p: int | None = None) -> GaussSumResult:
 
 
 def counting(n: int, r: int, q: int) -> tuple[int, int, Fraction]:
-    """Cardinalities behind the Haar sampler and the error bounds:
+    """Reference cardinalities that the tests check the Haar sampler and
+    :func:`enumerate_gl` against (the orbital error bounds use
+    :func:`nonarch.orbital.full_rank_fraction`, not these):
 
     * #GL(n, F_q) = prod_{j<n} (q^n - q^j),
     * #S(r x n)   = prod_{w<r} (q^n - q^w)  (full-rank r x n digit matrices),

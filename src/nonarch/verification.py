@@ -40,7 +40,7 @@ class Suite:
     seconds: float = 0.0
 
     def check(self, label: str, ok: bool, report: dict | None = None):
-        row = {"label": label, "pass": bool(ok), "detail": ""}
+        row = {"label": label, "pass": bool(ok)}
         if report is not None:
             row["report"] = report
         self.rows.append(row)

@@ -182,7 +182,7 @@ def test_verify_decompositions_report_pinned(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "decompositions", "--trials", "100", "--seed", "1", "--out", str(out_file))
     assert code == 0
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
-    assert digest == "fe0e51d6937199cb1da8ee1a1030f3a65cf4908ba1336a3fb28774a98d57c088"
+    assert digest == "e10d2b405139a8890b767b960ecf441cf27f13b39035f298cd3b85aff180c96e"
 
 
 def test_verify_uniqueness_semigroup_report_pinned(capsys, tmp_path):
@@ -192,7 +192,7 @@ def test_verify_uniqueness_semigroup_report_pinned(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "uniqueness", "semigroup", "--seed", "1", "--out", str(out_file))
     assert code == 0
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
-    assert digest == "d34eb0c13832aee83edd54c8570f1b0a1c0e45aff0edec0e7dd8a3f98fdaae95"
+    assert digest == "8f67070805a2105e97ff50b52f5d51d29a05955d454373e1251f9b822f755531"
 
 
 def test_verify_csv_format(capsys, tmp_path):
@@ -200,7 +200,7 @@ def test_verify_csv_format(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "semigroup", "--seed", "3", "--format", "csv", "--out", str(out_file))
     assert code == 0
     lines = out_file.read_text().splitlines()
-    assert lines[0].startswith("detail,label,pass")
+    assert lines[0].startswith("label,pass")
     assert len(lines) > 2  # one row per check
 
 

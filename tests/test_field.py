@@ -10,6 +10,7 @@ from nonarch.errors import (
     DyadicField,
     InvalidParam,
     NotIntegral,
+    PrecisionExhausted,
 )
 from nonarch.field import (
     FieldElement,
@@ -65,14 +66,19 @@ def test_ord_abs_examples(q3, q5):
         assert (x.ord, x.abs_q()) == (ord_, abs_)
 
 
-def test_reduce_and_lift_roundtrip(q5):
-    assert q5.uniformizer_pow(1).residue().value == 0
+def test_reduce_and_lift_roundtrip(q5, l3):
+    assert q5.uniformizer_pow(1).residue() == 0
     x = q5.one() + q5.uniformizer_pow(1) * q5.from_int(3)
-    assert x.residue().value == 1
+    assert x.residue() == 1
     lifted = q5.from_int(2)
-    assert lifted.residue().value == 2
+    assert lifted.residue() == 2
     with pytest.raises(NotIntegral):
         q5.uniformizer_pow(-1).residue()
+    assert q5.zero().residue() == 0
+    assert FieldElement(q5, 1, None, 0).residue() == 0  # O(pi^1)
+    with pytest.raises(PrecisionExhausted):
+        FieldElement(q5, 0, None, 0).residue()  # O(pi^0)
+    assert l3.element(0, [2, 1, 1]).residue() == 2
 
 
 def test_division_by_zero(q3):

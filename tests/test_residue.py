@@ -1,31 +1,17 @@
 """Residue-field arithmetic, Gauss sums, matrix counting."""
 
-import cmath
 from fractions import Fraction
 
 import pytest
 
 from nonarch.errors import DyadicField, TooLarge
 from nonarch.residue import (
-    ResidueElement,
-    additive_character,
     counting,
     enumerate_gl,
     gauss_sum,
     gauss_sum_phase,
     legendre,
 )
-
-
-def test_residue_element_arithmetic():
-    a = ResidueElement(4, 5)
-    b = ResidueElement(3, 5)
-    assert (a + b).value == 2
-    assert (a * b).value == 2
-    assert (-a).value == 1
-    assert (a.inverse() * a).value == 1
-    with pytest.raises(ValueError):
-        a + ResidueElement(1, 7)
 
 
 def test_legendre_examples():
@@ -39,12 +25,6 @@ def test_legendre_examples():
 def test_half_the_units_are_squares(p):
     squares = sum(1 for a in range(1, p) if legendre(a, p) == 1)
     assert squares == (p - 1) // 2
-
-
-def test_additive_character_values():
-    assert additive_character(1, 0, 3) == pytest.approx(1.0)
-    assert additive_character(1, 1, 3) == pytest.approx(cmath.exp(2j * cmath.pi / 3))
-    assert additive_character(2, 3, 5) == pytest.approx(cmath.exp(2j * cmath.pi / 5))
 
 
 def test_gauss_sum_small_cases():
