@@ -35,7 +35,6 @@ from .field import (
 )
 from .matrices import AtMost, MatF, SNFResult, SymDiagResult, singular_numbers, smith_normal_form, sym_diagonalize
 from .orbital import (
-    BoundReport,
     ErrorBounds,
     McEstimate,
     convergence_experiment,

@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import verification
-from .errors import NonArchError
+from .errors import InvalidParam, NonArchError
 from .field import FieldElement, FieldParams, parse_field_spec
 from .matrices import AtMost, MatF, smith_normal_form, sym_diagonalize
 from .orbital import convergence_experiment
@@ -248,11 +248,11 @@ def _cmd_symdiag(args, field: FieldParams):
 def _cmd_charfun(args, field: FieldParams):
     param = param_from_json(_load_json_arg(args.param))
     raw_args = _load_json_arg(args.args)
-    if isinstance(param, DeltaParam):
-        values = param.char([int(a) for a in raw_args])
-    else:
-        xs = [FieldElement.from_json(field, a) for a in raw_args]
-        values = param.char(xs)
+    delta = isinstance(param, DeltaParam)
+    if not isinstance(raw_args, list) or (delta and any(type(a) is not int for a in raw_args)):
+        what = "integers" if delta else "element objects"
+        raise InvalidParam(f"--args must be a JSON list of {what}, got {raw_args!r}")
+    values = param.char(raw_args if delta else [FieldElement.from_json(field, a) for a in raw_args])
     _emit(args, {"param": param.to_json(), "values": [v.to_json() for v in values]})
     return 0
 
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
         field = parse_field_spec(args.field)
         return args.handler(args, field)
     except NonArchError as exc:
-        print(f"{type(exc).module}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,11 +4,9 @@
 class NonArchError(Exception):
     """Base class for all library errors."""
 
-    module = "nonarch"
-
 
 class DivisionByZero(NonArchError, ZeroDivisionError):
-    module = "localfield"
+    pass
 
 
 class PrecisionExhausted(NonArchError):
@@ -16,44 +14,42 @@ class PrecisionExhausted(NonArchError):
     elements of higher valuation.  ``guaranteed_ord`` is a certified lower
     bound on the valuation of the true result."""
 
-    module = "localfield"
-
     def __init__(self, message: str = "all stored digits cancelled", guaranteed_ord=None):
         super().__init__(message)
         self.guaranteed_ord = guaranteed_ord
 
 
 class NotIntegral(NonArchError):
-    module = "localfield"
+    pass
 
 
 class DyadicField(NonArchError):
-    module = "localfield"
+    pass
 
 
 class InsufficientPrecision(NonArchError):
-    module = "characters"
+    pass
 
 
 class TooLarge(NonArchError):
-    module = "residue"
+    pass
 
 
 class LevelTooLow(NonArchError):
-    module = "orbital"
+    pass
 
 
 class DimensionMismatch(NonArchError):
-    module = "matalg"
+    pass
 
 
 class NotSymmetric(NonArchError):
-    module = "matalg"
+    pass
 
 
 class InvalidParam(NonArchError):
-    module = "params"
+    pass
 
 
 class EqualParams(NonArchError):
-    module = "params"
+    pass

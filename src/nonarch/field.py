@@ -173,8 +173,7 @@ class FieldParams:
 
     @cached_property
     def _one(self) -> "FieldElement":
-        unit = 1 if self.family == "padic" else (1,) + (0,) * (self.precision - 1)
-        return FieldElement(self, 0, unit, self.precision)
+        return self.from_base_p(1)
 
     @cached_property
     def _pow_p(self) -> tuple[int, ...]:
@@ -224,18 +223,7 @@ class FieldParams:
     def element(self, ord: int, digits) -> "FieldElement":
         """Element pi^ord * (d_0 + d_1 pi + ...) from an explicit digit list,
         taken to be the complete expansion (missing digits are zero)."""
-        digits = [int(d) % self.p for d in digits]
-        lead = next((i for i, d in enumerate(digits) if d != 0), None)
-        if lead is None:
-            return self.zero()
-        digits = digits[lead : lead + self.precision]
-        rel = self.precision
-        digits = digits + [0] * (rel - len(digits))
-        if self.family == "padic":
-            unit = sum(d * self.p**i for i, d in enumerate(digits))
-        else:
-            unit = tuple(digits)
-        return FieldElement(self, ord + lead, unit, rel)
+        return self.from_base_p(sum(int(d) % self.p * self.p**i for i, d in enumerate(digits)), ord)
 
     def eps(self) -> "FieldElement":
         """The fixed nonsquare unit: lift of the smallest nonsquare residue."""
@@ -453,12 +441,18 @@ class FieldElement:
 
     @classmethod
     def from_json(cls, params: FieldParams, obj: dict) -> "FieldElement":
-        if obj.get("ord") is None:
+        """The element of a ``{"ord": int | null, "digits": [int, ...]}``
+        payload, else InvalidParam."""
+        if not isinstance(obj, dict) or "ord" not in obj:
+            raise InvalidParam(f"element payload must be a JSON object with an ord, got {obj!r}")
+        k, digits = obj["ord"], obj.get("digits", [])
+        if not (k is None or type(k) is int) or not isinstance(digits, list) or any(type(d) is not int for d in digits):
+            raise InvalidParam(f"element payload needs an int or null ord and a list of int digits, got {obj!r}")
+        if k is None:
             return params.zero()
-        digits = list(obj.get("digits", []))
         if not digits:
-            return cls(params, int(obj["ord"]), None, 0)
-        return params.element(int(obj["ord"]), digits)
+            return cls(params, k, None, 0)
+        return params.element(k, digits)
 
 
 _set_params, _set_ord, _set_unit, _set_rel = (getattr(FieldElement, n).__set__ for n in FieldElement.__slots__)

@@ -45,6 +45,7 @@ from .params import DeltaParam, OmegaParam
 from .sampling import KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream, _corner_draws, _entry_shape, _haar_rows, _pow_mod_vec
 
 _EXACT_ENUM_GUARD = 8_000_000
+_CHUNK = 16384  # Haar draws per Monte Carlo chunk
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def _rows_read(pairs) -> int:
 
 
 def _mc_estimates(
-    field: FieldParams, pair_lists, K: int, n_samples: int, chunk_size: int, rng: RandomStream, draw_rows
+    field: FieldParams, pair_lists, K: int, n_samples: int, rng: RandomStream, draw_rows
 ) -> list[McEstimate]:
     """Average the integrand of each pair list over ``n_samples`` row draws,
     chunk by chunk; ``draw_rows(c, count)`` returns the (g1, g2) of chunk c.
@@ -255,8 +256,8 @@ def _mc_estimates(
     M = _entry_shape(field, K)[0]
     accs = [_Acc() for _ in pair_lists]
     # when no list reads a cell, nothing is drawn
-    for c, start in enumerate(range(0, n_samples if len(I) else 0, chunk_size)):
-        g1, g2 = draw_rows(c, min(chunk_size, n_samples - start))
+    for c, start in enumerate(range(0, n_samples if len(I) else 0, _CHUNK)):
+        g1, g2 = draw_rows(c, min(_CHUNK, n_samples - start))
         a = _gather(g1, I, J)
         b = a if g2 is g1 else _gather(g2, I, J)
         del g1, g2  # free this chunk's draws before the next one is drawn
@@ -279,7 +280,6 @@ def mc_orbital_multi(
     A_list,
     n_samples: int,
     rng: RandomStream,
-    chunk_size: int = 16384,
 ) -> list[McEstimate]:
     """Monte Carlo estimates of the orbital integral at several argument
     matrices A from one shared stream of Haar draws.  The integrand is exact
@@ -305,7 +305,7 @@ def mc_orbital_multi(
         g = _haar_rows(sub.child("g"), field, n, r, K, count)
         return g, g
 
-    return _mc_estimates(field, pair_lists, K, n_samples, chunk_size, rng, draw_rows)
+    return _mc_estimates(field, pair_lists, K, n_samples, rng, draw_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +360,12 @@ def error_bound(kind: str, n: int, r: int, q: int) -> ErrorBounds:
     return ErrorBounds(fact, mult)
 
 
+def within(gap: float, bound: float, stderr: float) -> bool:
+    """The gate of every Monte Carlo check: an observed gap clears its bound
+    plus three standard errors of noise."""
+    return gap <= bound + 3 * stderr
+
+
 # ---------------------------------------------------------------------------
 # exact oracle: averaging over a finite level
 # ---------------------------------------------------------------------------
@@ -411,73 +417,6 @@ def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> c
     if kind == KIND_CONGRUENCE:
         return complex(total / len(residues))
     return complex((total * counts).sum() / len(residues) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# bound verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    kind: str
-    n: int
-    r: int
-    estimate: McEstimate
-    closed_form: CharValue
-    bound: Fraction
-    observed_gap: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "r": self.r,
-            "estimate": [self.estimate.mean.real, self.estimate.mean.imag],
-            "stderr": self.estimate.stderr,
-            "closed_form": self.closed_form.to_json(),
-            "paper_bound": f"{self.bound.numerator}/{self.bound.denominator}",
-            "pass": self.passed,
-            "seed": self.estimate.seed,
-        }
-
-
-def compare_bound(field: FieldParams, kind: str, D, A, est: McEstimate) -> BoundReport:
-    """|estimate - kernel product| <= factorization bound + 3 * stderr."""
-    cv = product_formula(field, kind, D, A)
-    bounds = error_bound(kind, len(D), len(A), field.q)
-    gap = abs(est.mean - cv.to_complex(field.q))
-    passed = gap <= float(bounds.factorization) + 3 * est.stderr
-    return BoundReport(kind, len(D), len(A), est, cv, bounds.factorization, gap, passed)
-
-
-@dataclass(frozen=True)
-class MultiplicativityReport:
-    kind: str
-    n: int
-    r: int
-    joint: McEstimate
-    rank_one_product: complex
-    bound: Fraction
-    observed_gap: float
-    passed: bool
-
-
-def compare_multiplicativity(
-    field: FieldParams, kind: str, n: int, joint: McEstimate, rank_one: list[McEstimate]
-) -> MultiplicativityReport:
-    """|joint estimate - product of the rank-one estimates| <= multiplicativity
-    bound plus three combined standard errors."""
-    prod = 1 + 0j
-    se_total = joint.stderr
-    for one in rank_one:
-        prod *= one.mean
-        se_total += one.stderr
-    bounds = error_bound(kind, n, len(rank_one), field.q)
-    gap = abs(joint.mean - prod)
-    passed = gap <= float(bounds.multiplicativity) + 3 * se_total
-    return MultiplicativityReport(kind, n, len(rank_one), joint, prod, bounds.multiplicativity, gap, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +478,6 @@ def measure_charfun_batch(
     n_samples: int,
     probes,
     rng: RandomStream,
-    chunk_size: int = 16384,
 ) -> list[McEstimate]:
     """Empirical characteristic function of corner samples at diagonal probe
     arguments.  ``probes`` is a list of lists of FieldElements (one diagonal
@@ -562,7 +500,7 @@ def measure_charfun_batch(
     def draw_rows(c: int, count: int):
         return _corner_rows(field, param, n, count, window, rng.child("corner", c))
 
-    return _mc_estimates(field, pair_lists, window, n_samples, chunk_size, rng, draw_rows)
+    return _mc_estimates(field, pair_lists, window, n_samples, rng, draw_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -626,5 +564,5 @@ def convergence_experiment(
         ests = mc_orbital_multi(field, kind, D, probes, n_samples, rng.child("conv", n))
         max_gap = max(abs(est.mean - cv) for est, cv in zip(ests, closed_vals))
         max_noise = max(est.stderr for est in ests)
-        rows.append(ConvergenceRow(n, max_gap, bound, max_gap <= bound + 3 * max_noise))
+        rows.append(ConvergenceRow(n, max_gap, bound, within(max_gap, bound, max_noise)))
     return rows

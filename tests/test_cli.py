@@ -195,6 +195,23 @@ def test_verify_uniqueness_semigroup_report_pinned(capsys, tmp_path):
     assert digest == "8f67070805a2105e97ff50b52f5d51d29a05955d454373e1251f9b822f755531"
 
 
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        ("padic:p=3,prec=12", "548d15a0e9e3c0048e1639090c64478e6eb205385e4bb5850cb0a6eff181d173"),
+        ("laurent:p=3,prec=12", "9a5c21a9e3dff8ae6e15445a8fd2c8bc00fba2f42c204e8a8d91f1e3097975d0"),
+    ],
+)
+def test_verify_statistical_reports_pinned(capsys, tmp_path, spec, expected):
+    # the Monte Carlo suites at a small sample count: estimates, standard
+    # errors, bounds and verdicts must stay byte-identical under a refactor
+    out_file = tmp_path / "report.json"
+    argv = ["verify", "bounds", "charfun", "converge", "--samples", "100", "--seed", "1"]
+    code, _, _ = run(capsys, *argv, "--field", spec, "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == expected
+
+
 def test_verify_csv_format(capsys, tmp_path):
     out_file = tmp_path / "report.csv"
     code, _, _ = run(capsys, "verify", "semigroup", "--seed", "3", "--format", "csv", "--out", str(out_file))
@@ -264,6 +281,27 @@ def test_usage_errors_exit_one(capsys):
 )
 def test_malformed_param_is_one_error_line(capsys, kind, payload):
     code, out, err = run(capsys, "sample", "--kind", kind, "--param", payload, "--n", "2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "InvalidParam" in err
+
+
+DELTA = '{"head": [1]}'
+OMEGA = '{"k": "neginf", "kk": [1], "kkp": []}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("charfun", "--param", DELTA, "--args", args) for args in ("[1.5]", "[true]", '["2"]', "[0.9]", "5")),
+        ("charfun", "--param", OMEGA, "--args", "[1]"),
+        ("charfun", "--param", OMEGA, "--args", "5"),
+        ("snf", "--matrix", '{"rows": 1, "cols": 1, "entries": [5]}'),
+        ("theta", "--x", '{"ord": 1.5, "digits": [1]}'),
+        ("theta", "--x", '{"digits": [1]}'),
+    ],
+)
+def test_malformed_element_payload_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "InvalidParam" in err
 

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from nonarch.characters import CharValue
 from nonarch.errors import DimensionMismatch, InsufficientPrecision, LevelTooLow, TooLarge
+from nonarch import orbital
 from nonarch.field import FieldParams, parse_field_spec
 from nonarch.orbital import (
     _haar_rows,
-    compare_bound,
-    compare_multiplicativity,
     convergence_experiment,
     error_bound,
     exact_orbital_integral,
@@ -204,12 +203,13 @@ PINNED_DRAWS = {
 
 
 @pytest.mark.parametrize("spec, kind, n", list(PINNED_DRAWS))
-def test_mc_orbital_draws_pinned(spec, kind, n):
+def test_mc_orbital_draws_pinned(monkeypatch, spec, kind, n):
+    monkeypatch.setattr(orbital, "_CHUNK", 1024)
     field = parse_field_spec(spec)
     D = [2, 1] + [0] * (n - 2)
     rng = RandomStream(20261018).child(spec, kind, n)
-    one = mc_orbital_multi(field, kind, D, [[1]], 3000, rng.child("one"), chunk_size=1024)
-    multi = mc_orbital_multi(field, kind, D, [[2], [2, 1]], 3000, rng.child("multi"), chunk_size=1024)
+    one = mc_orbital_multi(field, kind, D, [[1]], 3000, rng.child("one"))
+    multi = mc_orbital_multi(field, kind, D, [[2], [2, 1]], 3000, rng.child("multi"))
     assert [(e.mean, e.stderr) for e in one + multi] == PINNED_DRAWS[spec, kind, n]
 
 
@@ -448,30 +448,6 @@ def test_exact_oracle_against_field_level_enumeration(q3):
     brute_sym = acc / len(lifts)
     fast_sym = exact_orbital_integral(q3, KIND_CONGRUENCE, [1, 0], [0], level=1)
     assert brute_sym == pytest.approx(fast_sym, abs=1e-9)
-
-
-# -- bound comparisons ------------------------------------------------------------------
-
-
-def test_compare_bound_report(q3):
-    est = mc_orbital_multi(q3, KIND_TWO_SIDED, [1, 0, 0, 0], [[1]], 20_000, RandomStream(21))[0]
-    rep = compare_bound(q3, KIND_TWO_SIDED, [1, 0, 0, 0], [1], est)
-    assert rep.passed
-    payload = rep.to_json()
-    assert payload["pass"] and payload["kind"] == KIND_TWO_SIDED
-    assert "/" in payload["paper_bound"]
-
-
-def test_compare_multiplicativity_report(q3):
-    rng, D = RandomStream(23), [1, 0, 0, 0]
-
-    def estimate(A, stream):
-        return mc_orbital_multi(q3, KIND_CONGRUENCE, D, [A], 20_000, stream)[0]
-
-    joint = estimate([1, 2], rng.child("joint"))
-    rank_one = [estimate([a], rng.child("rank1", i)) for i, a in enumerate([1, 2])]
-    rep = compare_multiplicativity(q3, KIND_CONGRUENCE, len(D), joint, rank_one)
-    assert rep.passed
 
 
 # -- convergence experiment ------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonarch import orbital
 from nonarch.errors import DyadicField, InsufficientPrecision, InvalidParam
 from nonarch.field import FieldParams
 from nonarch.characters import chi
@@ -284,9 +285,10 @@ def test_diagonal_entries_factorize(q3, l3):
         assert abs(joint.mean - m1.mean * m2.mean) <= 3 * (joint.stderr + m1.stderr + m2.stderr)
 
 
-def test_batch_sampler_padic_draws_pinned(q3):
+def test_batch_sampler_padic_draws_pinned(monkeypatch, q3):
     # estimates of the x, y, z, h corner streams over Q_3, recorded at
     # RandomStream(61): a change to the padic draws fails here
+    monkeypatch.setattr(orbital, "_CHUNK", 1024)
     eps = q3.eps()
     cases = (
         (
@@ -309,7 +311,7 @@ def test_batch_sampler_padic_draws_pinned(q3):
         ),
     )
     for par, probes, pinned in cases:
-        ests = measure_charfun_batch(q3, par, 3, 3000, probes, RandomStream(61), chunk_size=1024)
+        ests = measure_charfun_batch(q3, par, 3, 3000, probes, RandomStream(61))
         assert [e.n_samples for e in ests] == [3000] * 3
         for est, value in zip(ests, pinned):
             assert abs(est.mean - value) <= 1e-12
