@@ -8,7 +8,6 @@ from .characters import (
     charvalue_product,
     chi,
     square_kernel_sign,
-    theta_bruteforce,
     theta_closed,
 )
 from .errors import (
@@ -45,6 +44,7 @@ from .orbital import (
     mc_orbital_multi,
     measure_charfun_batch,
     product_formula,
+    theta_bruteforce,
 )
 from .params import (
     DeltaParam,
@@ -55,7 +55,7 @@ from .params import (
     truncate_rule,
     validate,
 )
-from .residue import GaussSumResult, counting, enumerate_gl, gauss_sum, legendre
+from .residue import GaussSumResult, gauss_sum, legendre
 from .sampling import (
     KIND_CONGRUENCE,
     KIND_TWO_SIDED,

@@ -8,7 +8,8 @@ The character chi is trivial on O_F and nontrivial on pi^-1 O_F:
 * laurent family: chi(x) = exp(2*pi*i * c_{-1}(x) / p) where c_{-1} is the
   coefficient of t^-1.
 
-Two kernels are evaluated in closed form and by independent brute force:
+Two kernels are evaluated in closed form (their independent brute force,
+:func:`nonarch.orbital.theta_bruteforce`, averages the exact oracle's tables):
 
 * ``bilinear``: the average of chi(z1*z2*x) over integral pairs (z1, z2),
   equal to q^(-l) for |x| = q^l >= q and 1 otherwise;
@@ -28,16 +29,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
-from .errors import InsufficientPrecision, TooLarge
+from .errors import InsufficientPrecision
 from .field import FieldElement, FieldParams
-from .residue import gauss_sum_phase, legendre
+from .residue import gauss_sum, gauss_sum_phase, legendre
 
 KIND_BILINEAR = "bilinear"
 KIND_SQUARE = "square"
-
-_BRUTE_GUARD = 4_000_000
 
 # unit tags form the cyclic group of order 4 plus an absorbing zero
 _UNIT_TO_K = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
@@ -135,17 +132,13 @@ def chi(x: FieldElement) -> complex:
 
 @lru_cache(maxsize=None)
 def square_kernel_sign(params: FieldParams) -> int:
-    """The sign s in {-1, +1} fixed by the character normalization: the
-    brute-force average of chi(z^2 * pi^-1) equals s * rho_q * q^(-1/2).
-    Computed, never assumed."""
+    """The sign s in {-1, +1} with avg_z chi(z^2 pi^-1) = s * rho_q * q^(-1/2).
+    In both families chi(z^2 pi^-1) = exp(2 pi i z_0^2 / p), z_0 = z mod pi,
+    so the average is exactly G(1) / p and s is the sign that
+    :func:`gauss_sum` computes by direct summation (it raises ArithmeticError
+    unless G(1) = +-rho_q sqrt(p)).  Computed, never assumed."""
     params.require_nondyadic("the square kernel")
-    value = theta_bruteforce(params.uniformizer_pow(-1), KIND_SQUARE)
-    rho, _ = gauss_sum_phase(params.q)
-    ratio = value / (rho * params.q**-0.5)
-    sign = 1 if ratio.real > 0 else -1
-    if abs(ratio - sign) > 1e-9:
-        raise ArithmeticError(f"square kernel at level 1 is not +-rho*q^-1/2: {value}")
-    return sign
+    return gauss_sum(1, params.p).sign
 
 
 def theta_closed(x: FieldElement, kind: str = KIND_SQUARE) -> CharValue:
@@ -179,71 +172,3 @@ def theta_closed(x: FieldElement, kind: str = KIND_SQUARE) -> CharValue:
     else:
         unit = "+i" if s == 1 else "-i"
     return CharValue(unit, ell)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def _phases_padic(params: FieldParams, values: np.ndarray, level: int) -> np.ndarray:
-    m = params.p**level
-    return np.exp(2j * np.pi * (values % m) / m)
-
-
-def theta_bruteforce(x: FieldElement, kind: str = KIND_SQUARE) -> complex:
-    """Kernel value by exact finite summation: the integrand depends only on
-    z mod pi^l with l = -ord(x), so the integral is the plain average over
-    representatives (pairs of representatives for the bilinear kernel).
-    Independent of the closed form."""
-    if kind not in (KIND_BILINEAR, KIND_SQUARE):
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    if x.is_zero() or x.ord >= 0:
-        return 1 + 0j
-    params = x.params
-    if kind == KIND_SQUARE:
-        params.require_nondyadic("the square kernel")
-    ell = -x.ord
-    count = params.q ** (2 * ell if kind == KIND_BILINEAR else ell)
-    if count > _BRUTE_GUARD:
-        raise TooLarge(f"{count} summands exceed the brute-force guard {_BRUTE_GUARD}")
-    if x.rel < ell:
-        raise InsufficientPrecision(f"need {ell} digits of the unit part, have {x.rel}")
-    p = params.p
-    if params.family == "padic":
-        m = p**ell
-        u = x.unit % m
-        z = np.arange(m, dtype=np.int64)
-        if kind == KIND_SQUARE:
-            vals = (z * z % m) * u
-            return complex(_phases_padic(params, vals, ell).mean())
-        acc = 0j
-        for z1 in range(m):
-            vals = (z1 * z % m) * u
-            acc += _phases_padic(params, vals, ell).sum()
-        return complex(acc / m**2)
-    # Laurent: z runs over digit tuples mod t^ell; the phase digit is the
-    # coefficient of t^(ell-1) in z^2*u (resp. z1*z2*u).
-    u = np.array(x.digits[:ell], dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(p)] * ell), indexing="ij")
-    Z = np.stack([g.reshape(-1) for g in grids], axis=1)  # (p^ell, ell) digit rows
-    if kind == KIND_SQUARE:
-        coeff = np.zeros(len(Z), dtype=np.int64)
-        for i in range(ell):
-            for j in range(ell):
-                for r in range(ell):
-                    if i + j + r == ell - 1:
-                        coeff += Z[:, i] * Z[:, j] * u[r]
-        return complex(np.exp(2j * np.pi * (coeff % p) / p).mean())
-    acc = 0j
-    for row in Z:
-        coeff = np.zeros(len(Z), dtype=np.int64)
-        for i in range(ell):
-            if row[i] == 0:
-                continue
-            for j in range(ell):
-                for r in range(ell):
-                    if i + j + r == ell - 1:
-                        coeff += row[i] * Z[:, j] * u[r]
-        acc += np.exp(2j * np.pi * (coeff % p) / p).sum()
-    return complex(acc / len(Z) ** 2)

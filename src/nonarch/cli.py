@@ -22,7 +22,7 @@ from .errors import InvalidParam, NonArchError
 from .field import FieldElement, FieldParams, parse_field_spec
 from .matrices import AtMost, MatF, smith_normal_form, sym_diagonalize
 from .orbital import convergence_experiment
-from .params import DeltaParam, convolve, param_from_json
+from .params import DeltaParam, OmegaParam, convolve, param_from_json
 from .residue import gauss_sum
 from .sampling import RandomStream, haar_gl, sample_corner
 from .characters import theta_closed, KIND_SQUARE, KIND_BILINEAR
@@ -259,15 +259,16 @@ def _cmd_charfun(args, field: FieldParams):
 
 def _cmd_sample(args, field: FieldParams):
     rng = RandomStream(args.seed)
-    mats = []
-    for i in range(args.count):
-        if args.kind == "haar":
-            mats.append(haar_gl(rng.child("haar", i), field, args.n))
-        else:
-            if args.param is None:
-                raise NonArchError("--param is required for mu/nu sampling")
-            param = param_from_json(_load_json_arg(args.param))
-            mats.append(sample_corner(field, param, args.n, rng.child(args.kind, i)))
+    if args.kind == "haar":
+        mats = [haar_gl(rng.child("haar", i), field, args.n) for i in range(args.count)]
+    else:
+        if args.param is None:
+            raise NonArchError("--param is required for mu/nu sampling")
+        param = param_from_json(_load_json_arg(args.param))
+        family = DeltaParam if args.kind == "mu" else OmegaParam
+        if not isinstance(param, family):
+            raise InvalidParam(f"--kind {args.kind} samples a {family.__name__}, got a {type(param).__name__}")
+        mats = [sample_corner(field, param, args.n, rng.child(args.kind, i)) for i in range(args.count)]
     print(f"seed: {args.seed}", file=sys.stderr)
     _emit(args, [m.to_json() for m in mats])
     return 0

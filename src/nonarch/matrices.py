@@ -31,6 +31,7 @@ from operator import ge, gt, le, lt
 
 from .errors import (
     DimensionMismatch,
+    InvalidParam,
     NotSymmetric,
     PrecisionExhausted,
 )
@@ -181,8 +182,14 @@ class MatF:
 
     @classmethod
     def from_json(cls, params: FieldParams, obj: dict) -> "MatF":
-        entries = [FieldElement.from_json(params, e) for e in obj["entries"]]
-        return cls(params, int(obj["rows"]), int(obj["cols"]), entries)
+        """The matrix of a ``{"rows": int, "cols": int, "entries": [element,
+        ...]}`` payload, entries row by row, else InvalidParam."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
+            raise InvalidParam(f"matrix payload must be a JSON object with a list of entries, got {obj!r}")
+        rows, cols = obj.get("rows"), obj.get("cols")
+        if type(rows) is not int or type(cols) is not int:
+            raise InvalidParam(f"matrix payload needs int rows and cols, got {obj!r}")
+        return cls(params, rows, cols, [FieldElement.from_json(params, e) for e in obj["entries"]])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ of how chunks are scheduled.
 The exact oracle averages over the same row sets at a finite level by
 enumerating only their residues mod pi: given those, the integrand
 factorizes over the cells it reads (see :func:`exact_orbital_integral`).
+Its per-cell lift tables (:func:`_lift_tables`) are also the brute-force
+kernel oracle :func:`theta_bruteforce`, for both field families.
 
 Error bounds: writing x = prod_{w<r} (1 - q^{w-n}) (the full-rank fraction
 of r x n digit matrices), the comparison of the integral with the kernel
@@ -371,6 +373,42 @@ def within(gap: float, bound: float, stderr: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _lift_tables(field: FieldParams, pairs, level: int, factors: int):
+    """The library's one brute force over O_F / pi^level: the cells (i, j)
+    that ``pairs`` reads, as index arrays I, J, and per cell the mean of its
+    factor chi(g1 g2 a_i x_j) over the q^(2 level) lift pairs of each residue
+    pair mod pi (factors = 2; axes: residue of g1, then of g2), or of
+    chi(g^2 a_i x_j) over the q^level lifts of each residue (factors = 1)."""
+    # one list per cell makes W diagonal: summed over cells, it weights a
+    # single lifted entry by every cell
+    I, J, W = _cell_weights(field, [[pair] for pair in pairs], level)
+    M, tail = _entry_shape(field, level)
+    lifts = _enumerate(M, (factors,) + tail)
+    # index = sum_e lift_e q^(level e) with lift_e = d_e + p h_e, so the
+    # reshape below puts the residue of g1 (the last lift) before that of g2
+    g1, g2 = (lifts[:, e].T[..., None, :] for e in (-1, 0))
+    phases = _phases(_paired_phases(field, level, W.sum(axis=-2, keepdims=True), g1, g2), M)
+    tables = phases.reshape((len(pairs),) + (field.p ** (level - 1), field.p) * factors).mean(axis=(1, 3)[:factors])
+    return I, J, tables
+
+
+def theta_bruteforce(x: FieldElement, kind: str = KIND_SQUARE) -> complex:
+    """Kernel value by exact finite summation, independent of the closed
+    form: the integrand depends only on z mod pi^l with l = -ord(x), so the
+    kernel is the mean of the lift table of the one cell a = 1, x (pairs
+    (z1, z2) for the bilinear kernel, z for the square kernel)."""
+    if kind not in (KIND_BILINEAR, KIND_SQUARE):
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    if x.is_zero() or x.ord >= 0:
+        return 1 + 0j
+    field = x.params
+    if kind == KIND_SQUARE:
+        field.require_nondyadic("the square kernel")
+    pairs, level = _pair_data(field, [x], [field.one()])
+    _, _, tables = _lift_tables(field, pairs, level, 2 if kind == KIND_BILINEAR else 1)
+    return complex(tables[0].mean())
+
+
 def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> complex:
     """Exact value of the orbital integral: the average of the integrand over
     the full-rank r x n row sets mod pi^level that it reads (pairs of them
@@ -381,10 +419,9 @@ def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> c
     Such a row set is R + pi H, with R of full rank mod pi and H uniform and
     independent of R, so given R the integrand factorizes over the read
     cells.  The p^(r n) residue sets are enumerated once and counted by
-    their values on the read cells; one table per cell averages its factor
-    over the q^level lifts of each residue (the q^(2 level) lift pairs of a
-    residue pair for the two-sided kind), and the counts contracted with the
-    tables give the average.  No row set mod pi^level is written out."""
+    their values on the read cells, and the counts contracted with the
+    per-cell lift tables of :func:`_lift_tables` give the average.  No row
+    set mod pi^level is written out."""
     _check_kind(kind)
     D = [as_element(field, v) for v in D]
     A = [as_element(field, v) for v in A]
@@ -399,16 +436,7 @@ def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> c
     p, factors = field.p, 1 if kind == KIND_CONGRUENCE else 2
     residues = _enumerate(p, (_rows_read(pairs), n))
     residues = residues[invertible_mask(residues, p)]
-    # one list per cell makes W diagonal: summed over cells, it weights a
-    # single lifted entry by every cell
-    I, J, W = _cell_weights(field, [[pair] for pair in pairs], level)
-    M, tail = _entry_shape(field, level)
-    lifts = _enumerate(M, (factors,) + tail)
-    # index = sum_e lift_e q^(level e) with lift_e = d_e + p h_e, so the
-    # reshape below puts the residue of g1 (the last lift) before that of g2
-    g1, g2 = (lifts[:, e].T[..., None, :] for e in (-1, 0))
-    phases = _phases(_paired_phases(field, level, W.sum(axis=-2, keepdims=True), g1, g2), M)
-    tables = phases.reshape((len(pairs),) + (p ** (level - 1), p) * factors).mean(axis=(1, 3)[:factors])
+    I, J, tables = _lift_tables(field, pairs, level, factors)
     shape = (p,) * len(pairs)  # p^cells <= p^(r n) counts, within the residue guard
     counts = np.bincount(np.ravel_multi_index(residues[:, I, J].T, shape), minlength=math.prod(shape)).reshape(shape)
     total = counts

@@ -1,7 +1,7 @@
 """The prime residue field F_p, its elements plain ints in [0, p): Legendre
-symbols, quadratic Gauss sums, and matrix counting over F_q, a reference the
-tests check the Haar sampler and the enumeration against (the orbital error
-bounds use :func:`nonarch.orbital.full_rank_fraction`).
+symbols, quadratic Gauss sums, and the determinant mod p behind
+:meth:`MatF.is_gl` (the full-rank fraction of the orbital error bounds is
+:func:`nonarch.orbital.full_rank_fraction`).
 
 Gauss sums are returned both as floating complex numbers (direct summation)
 and symbolically as sign * rho_q * sqrt(q), where rho_q is 1 for q = 1 mod 4
@@ -12,13 +12,9 @@ arithmetic without floating drift.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DyadicField, TooLarge
-
-ENUM_GUARD = 10**8
+from .errors import DyadicField
 
 
 def legendre(a: int, p: int) -> int:
@@ -70,27 +66,6 @@ def gauss_sum(a: int, p: int) -> GaussSumResult:
     return GaussSumResult(total, sign, rho_s, p)
 
 
-def counting(n: int, r: int, q: int) -> tuple[int, int, Fraction]:
-    """Reference cardinalities that the tests check the Haar sampler and
-    :func:`enumerate_gl` against (the orbital error bounds use
-    :func:`nonarch.orbital.full_rank_fraction`, not these):
-
-    * #GL(n, F_q) = prod_{j<n} (q^n - q^j),
-    * #S(r x n)   = prod_{w<r} (q^n - q^w)  (full-rank r x n digit matrices),
-    * vol(GL(n, O_F)) = prod_{j=1..n} (1 - q^-j) as an exact rational.
-    """
-    if not (1 <= r <= n):
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    gl_count = 1
-    for j in range(n):
-        gl_count *= q**n - q**j
-    s_count = 1
-    for w in range(r):
-        s_count *= q**n - q**w
-    volume = Fraction(gl_count, q ** (n * n))
-    return gl_count, s_count, volume
-
-
 def _det_mod(rows: list[list[int]], p: int) -> int:
     """Determinant mod p by Gaussian elimination on a small copy."""
     n = len(rows)
@@ -111,13 +86,3 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
     return det % p
 
-
-def enumerate_gl(n: int, q: int):
-    """Yield every invertible n x n matrix over F_q exactly once, as a tuple
-    of row tuples.  Streaming; total count matches counting(n, n, q)."""
-    if q ** (n * n) > ENUM_GUARD:
-        raise TooLarge(f"q^(n^2) = {q**(n*n)} exceeds the enumeration guard {ENUM_GUARD}")
-    for flat in itertools.product(range(q), repeat=n * n):
-        rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        if _det_mod(rows, q) != 0:
-            yield tuple(tuple(row) for row in rows)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import orbital, params as params_mod, sampling
-from .characters import KIND_BILINEAR, KIND_SQUARE, chi, theta_bruteforce, theta_closed
+from .characters import KIND_BILINEAR, KIND_SQUARE, chi, theta_closed
 from .errors import DyadicField, InsufficientPrecision, PrecisionExhausted, TooLarge
 from .field import FieldElement, FieldParams
 from .matrices import MatF, singular_numbers, smith_normal_form, sym_diagonalize
@@ -103,33 +103,24 @@ def verify_gauss_sums():
 
 @_suite("kernel-oracles")
 def verify_kernel_oracles():
+    def arguments(field: FieldParams, levels):
+        return [u.shift(ell) for ell in levels for u in (field.one(), field.eps())]
+
+    def worst_gap(xs) -> float:
+        kinds = (KIND_BILINEAR, KIND_SQUARE)
+        gaps = (theta_closed(x, k).to_complex(x.params.p) - orbital.theta_bruteforce(x, k) for x in xs for k in kinds)
+        return max(abs(g) for g in gaps)
+
     for p in (3, 5, 7):
         field = FieldParams("padic", p, 12)
-        eps = field.eps()
-        worst = 0.0
-        square_ids = True
-        for ell in range(-3, 4):
-            for u in (field.one(), eps):
-                x = u.shift(ell)
-                for kind in (KIND_BILINEAR, KIND_SQUARE):
-                    closed = theta_closed(x, kind).to_complex(p)
-                    brute = theta_bruteforce(x, kind)
-                    worst = max(worst, abs(closed - brute))
-                a = theta_closed(x, KIND_SQUARE)
-                b = theta_closed(x * eps, KIND_SQUARE)
-                if a.mul(a) != b.mul(b) or a.mul(a).is_zero():
-                    square_ids = False
+        xs = arguments(field, range(-3, 4))
+        twins = [(theta_closed(x, KIND_SQUARE), theta_closed(x * field.eps(), KIND_SQUARE)) for x in xs]
+        square_ids = all(a.mul(a) == b.mul(b) and not a.mul(a).is_zero() for a, b in twins)
+        worst = worst_gap(xs)
         yield f"p={p} closed = brute (max gap {worst:.2e})", worst <= EXACT_TOL
         yield f"p={p} theta(x)^2 = theta(eps x)^2 != 0", square_ids
-    # Laurent branch of the same identities at p=3
-    field = FieldParams("laurent", 3, 10)
-    eps = field.eps()
-    worst = 0.0
-    for ell in range(-2, 3):
-        for u in (field.one(), eps):
-            x = u.shift(ell)
-            for kind in (KIND_BILINEAR, KIND_SQUARE):
-                worst = max(worst, abs(theta_closed(x, kind).to_complex(3) - theta_bruteforce(x, kind)))
+    # the closed forms against the brute force over F_3((t))
+    worst = worst_gap(arguments(FieldParams("laurent", 3, 10), range(-2, 3)))
     yield f"laurent p=3 closed = brute (max gap {worst:.2e})", worst <= EXACT_TOL
 
 

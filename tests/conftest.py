@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from nonarch.field import FieldParams
+
+# every property test is deterministic by default: a fixed example sequence,
+# no example database carried between runs, no per-example deadline
+settings.register_profile("nonarch", derandomize=True, database=None, deadline=None)
+settings.load_profile("nonarch")
 
 
 @pytest.fixture(scope="session")

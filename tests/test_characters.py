@@ -13,11 +13,11 @@ from nonarch.characters import (
     charvalue_product,
     chi,
     square_kernel_sign,
-    theta_bruteforce,
     theta_closed,
 )
-from nonarch.errors import DyadicField, InsufficientPrecision
+from nonarch.errors import DyadicField, InsufficientPrecision, TooLarge
 from nonarch.field import FieldParams
+from nonarch.orbital import theta_bruteforce
 from nonarch.sampling import RandomStream, uniform_integer
 
 
@@ -115,6 +115,30 @@ def test_bruteforce_worked_examples(q3):
     assert theta_bruteforce(q3.uniformizer_pow(-1), KIND_BILINEAR) == pytest.approx(1 / 3)
     # 3-term sum: (1/3)(1 + 2 e^{2 pi i/3}) = i/sqrt(3); fixes the sign +1
     assert theta_bruteforce(q3.uniformizer_pow(-1), KIND_SQUARE) == pytest.approx(1j / 3**0.5)
+
+
+@pytest.mark.parametrize("family", ["padic", "laurent"])
+@pytest.mark.parametrize("p, level", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_bruteforce_is_the_mean_of_chi(family, p, level):
+    # the lift-table average against chi itself, in FieldElement arithmetic
+    # over the representatives z = k (digits of k) mod pi^level
+    field = FieldParams(family, p, 8)
+    zs = [field.from_base_p(k) for k in range(p**level)]
+    for u in (field.one(), field.eps(), field.element(0, [1, 2, 1])):
+        x = u.shift(-level)
+        square = sum(chi(z * z * x) for z in zs) / len(zs)
+        bilinear = sum(chi(z1 * z2 * x) for z1 in zs for z2 in zs) / len(zs) ** 2
+        assert abs(theta_bruteforce(x, KIND_SQUARE) - square) <= 1e-12
+        assert abs(theta_bruteforce(x, KIND_BILINEAR) - bilinear) <= 1e-12
+
+
+def test_bruteforce_guard_and_digit_window(q3):
+    # 3^16 lift pairs exceed the one enumeration guard (8 * 10^6)
+    with pytest.raises(TooLarge, match="exceeds the guard"):
+        theta_bruteforce(q3.uniformizer_pow(-8), KIND_BILINEAR)
+    # two stored digits cannot resolve chi at level 3
+    with pytest.raises(InsufficientPrecision):
+        theta_bruteforce(FieldParams("padic", 3, 2).uniformizer_pow(-3), KIND_SQUARE)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -277,7 +277,13 @@ def test_usage_errors_exit_one(capsys):
 
 @pytest.mark.parametrize(
     "kind, payload",
-    [("mu", '{"head": [1], "tail": null}'), ("nu", '{"k": "neginf", "kk": [0.5], "kkp": []}')],
+    [
+        ("mu", '{"head": [1], "tail": null}'),
+        ("nu", '{"k": "neginf", "kk": [0.5], "kkp": []}'),
+        # a parameter of the other family: mu samples a Delta, nu an Omega
+        ("nu", '{"head": [1], "tail": "neginf"}'),
+        ("mu", '{"k": "neginf", "kk": [1], "kkp": []}'),
+    ],
 )
 def test_malformed_param_is_one_error_line(capsys, kind, payload):
     code, out, err = run(capsys, "sample", "--kind", kind, "--param", payload, "--n", "2")
@@ -296,6 +302,10 @@ OMEGA = '{"k": "neginf", "kk": [1], "kkp": []}'
         ("charfun", "--param", OMEGA, "--args", "[1]"),
         ("charfun", "--param", OMEGA, "--args", "5"),
         ("snf", "--matrix", '{"rows": 1, "cols": 1, "entries": [5]}'),
+        ("snf", "--matrix", "[1,2]"),
+        ("snf", "--matrix", '{"rows": 1, "cols": 1, "entries": 5}'),
+        ("snf", "--matrix", '{"rows": 1.9, "cols": 1, "entries": [{"ord": 0, "digits": [1]}]}'),
+        ("snf", "--matrix", '{"rows": "2", "cols": 1, "entries": [{"ord": 0, "digits": [1]}]}'),
         ("theta", "--x", '{"ord": 1.5, "digits": [1]}'),
         ("theta", "--x", '{"digits": [1]}'),
     ],

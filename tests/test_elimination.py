@@ -108,7 +108,7 @@ def snf_inputs(draw):
     return field, rows
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(snf_inputs())
 def test_snf_matches_sympy_smith_form(case):
     field, rows = case

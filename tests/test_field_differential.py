@@ -23,7 +23,7 @@ FIELDS = [
 ]
 IDS = [f.spec_string() for f in FIELDS]
 ODD_FIELDS = [f for f in FIELDS if not f.is_dyadic]
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 
 
 # -- conversions ----------------------------------------------------------------

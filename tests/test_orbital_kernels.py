@@ -23,7 +23,7 @@ from nonarch.orbital import (
     invertible_mask,
 )
 
-SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=80)
 BIG_P = 1048573  # the largest prime below 2^20
 
 

@@ -20,7 +20,7 @@ from nonarch.field import (
     _sqrt_mod_prime,
 )
 
-SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=300)
 SMALL_ODD_PRIMES = [p for p in range(3, 2000) if isprime(p)]
 # p - 1 = 2^13 * 5, 2^16, 2^18 * 3: many Tonelli-Shanks rounds
 TWO_ADIC_PRIMES = [40961, 65537, 786433]
