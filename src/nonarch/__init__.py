@@ -52,7 +52,6 @@ from .params import (
     canonicalize_omega,
     convolve,
     distinguishing_argument,
-    truncate_rule,
     validate,
 )
 from .residue import GaussSumResult, gauss_sum, legendre

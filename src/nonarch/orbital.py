@@ -22,6 +22,10 @@ factorizes over the cells it reads (see :func:`exact_orbital_integral`).
 Its per-cell lift tables (:func:`_lift_tables`) are also the brute-force
 kernel oracle :func:`theta_bruteforce`, for both field families.
 
+The corner estimator :func:`measure_charfun_batch` reuses the contraction,
+weighting the corner draw by the coefficients of ``sampling._corner_law``,
+the one validated term list that :func:`generator_diagonal` also reads.
+
 Error bounds: writing x = prod_{w<r} (1 - q^{w-n}) (the full-rank fraction
 of r x n digit matrices), the comparison of the integral with the kernel
 product is bounded by 2(1 - x^2) for the two-sided kind and 2(1 - x) for
@@ -43,8 +47,10 @@ from .characters import KIND_BILINEAR, KIND_SQUARE, CharValue, charvalue_product
 from .errors import DimensionMismatch, InsufficientPrecision, LevelTooLow, TooLarge
 from .field import FieldElement, FieldParams
 from .matrices import MatF
-from .params import DeltaParam, OmegaParam
-from .sampling import KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream, _corner_draws, _entry_shape, _haar_rows, _pow_mod_vec
+from .params import DeltaParam
+from .sampling import (
+    KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream, _corner_draws, _corner_law, _entry_shape, _haar_rows, _pow_mod_vec
+)
 
 _EXACT_ENUM_GUARD = 8_000_000
 _CHUNK = 16384  # Haar draws per Monte Carlo chunk
@@ -254,6 +260,8 @@ def _mc_estimates(
     chunk by chunk; ``draw_rows(c, count)`` returns the (g1, g2) of chunk c.
     Each chunk gathers the cells that any list reads once and contracts them
     against every list's weights; an empty list has the integrand 1."""
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got n_samples={n_samples}")
     I, J, W = _cell_weights(field, pair_lists, K)
     M = _entry_shape(field, K)[0]
     accs = [_Acc() for _ in pair_lists]
@@ -483,7 +491,7 @@ def _corner_rows(field: FieldParams, param, n: int, count: int, window: int, str
     """Rows g1, g2 of shape (count, r, n[, window]) of the corner draw of
     :func:`sampling._corner_draws`, with the corner diagonal
     c_jj = sum_i c_i g1[:, i, j] g2[:, i, j] for the coefficients c of
-    :func:`generator_diagonal`.  Row t holds X_t and Y_t of rank-one term t
+    :func:`_corner_coefficients`.  Row t holds X_t and Y_t of rank-one term t
     (congruence family: X_t twice); a last row holds the diagonal of the
     Haar tail Z (resp. H) against the constant 1."""
     terms, haar = _corner_draws(field, param, n, count, window, stream)
@@ -497,6 +505,15 @@ def _corner_rows(field: FieldParams, param, n: int, count: int, window: int, str
         one = np.eye(1, math.prod(tail), dtype=np.int64).reshape(tail)
         g2.append(np.broadcast_to(one, g1[-1].shape))
     return np.stack(g1, axis=1), np.stack(g2, axis=1)
+
+
+def _corner_coefficients(field: FieldParams, param) -> list[FieldElement]:
+    """The coefficient c pi^-k of each rank-one term of
+    :func:`sampling._corner_law`, then the tail's pi^-k, or zero for a -inf
+    tail."""
+    terms, tail = _corner_law(field, param)
+    coefficients = [field.from_int(c).shift(-k) for k, c, _, _ in terms]
+    return coefficients + [field.zero() if tail is None else field.uniformizer_pow(-tail[0])]
 
 
 def measure_charfun_batch(
@@ -515,14 +532,15 @@ def measure_charfun_batch(
     the sampled vectors, so chi(sum_j a_j c_jj) is the bilinear trace form of
     the orbital kernels (see :func:`_corner_rows`), evaluated exactly on both
     field families.  Entries are drawn mod pi^window, deep enough for the
-    deepest probe against the support bound of the parameter.
+    deepest probe against the deepest coefficient of the corner.
     """
+    coefficients = _corner_coefficients(field, param)
     probes = [[as_element(field, a) for a in diag] for diag in probes]
-    scale = param.support_bound()
+    if any(len(diag) > n for diag in probes):
+        raise DimensionMismatch(f"a probe of length {max(map(len, probes))} exceeds the corner size n={n}")
+    scale = max([0] + [-w.ord for w in coefficients if not w.is_zero()])
     window = max([1] + [scale - a.ord for diag in probes for a in diag if not a.is_zero()])
     _check_window(field, window)
-    head = param.head if isinstance(param, DeltaParam) else param.kk + param.kkp
-    coefficients = generator_diagonal(field, param, len(head) + 1)
     pair_lists = [_pair_data(field, diag, coefficients)[0] for diag in probes]
 
     def draw_rows(c: int, count: int):
@@ -537,19 +555,9 @@ def measure_charfun_batch(
 
 
 def generator_diagonal(field: FieldParams, param, n: int) -> list[FieldElement]:
-    """The canonical diagonal generator at size n: head entries pi^-k_i
-    (eps-twisted for the strictly-decreasing block), padded by the tail
-    value pi^-k (or zero for a -inf tail)."""
-    diag = []
-    if isinstance(param, DeltaParam):
-        diag = [field.uniformizer_pow(-k) for k in param.head]
-        pad = field.zero() if param.tail is None else field.uniformizer_pow(-param.tail)
-    elif isinstance(param, OmegaParam):
-        diag = [field.uniformizer_pow(-k) for k in param.kk]
-        diag += [field.eps().shift(-k) for k in param.kkp]
-        pad = field.zero() if param.k is None else field.uniformizer_pow(-param.k)
-    else:
-        raise DimensionMismatch("unknown parameter kind")
+    """The canonical diagonal generator at size n: the term coefficients of
+    :func:`_corner_coefficients`, padded by the tail's (zero for -inf)."""
+    *diag, pad = _corner_coefficients(field, param)
     if len(diag) > n:
         raise DimensionMismatch(f"generator needs n >= {len(diag)}")
     return diag + [pad] * (n - len(diag))

@@ -11,15 +11,16 @@ constructive uniqueness arguments.
   invariant measures on symmetric matrix space (non-dyadic fields).
 
 Sequences with infinitely many distinct finite entries have no finite
-description and are out of scope; ``truncate_rule`` builds finite-head
-approximants for such rules.
+description and are out of scope.  The finite corner of each measure, its
+rank-one terms and Haar tail, is read from a parameter by
+``sampling._corner_law`` alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .characters import KIND_SQUARE, CharValue, charvalue_product, theta_closed
 from .errors import EqualParams, InvalidParam
@@ -64,13 +65,6 @@ class DeltaParam:
             return self.head[j - 1]
         return self.tail
 
-    def support_bound(self) -> int:
-        """max(0, largest entry): every sampled corner entry has ord >= -bound."""
-        cand = [0, *self.head]
-        if self.tail is not None:
-            cand.append(self.tail)
-        return max(cand)
-
     # -- characteristic function ----------------------------------------------
     def char_single(self, ell: int) -> CharValue:
         """Value at the rank-one argument pi^-ell e_11: zero when the constant
@@ -109,12 +103,6 @@ class OmegaParam:
     def __post_init__(self):
         object.__setattr__(self, "kk", tuple(int(v) for v in self.kk))
         object.__setattr__(self, "kkp", tuple(int(v) for v in self.kkp))
-
-    def support_bound(self) -> int:
-        cand = [0, *self.kk, *self.kkp]
-        if self.k is not None:
-            cand.append(self.k)
-        return max(cand)
 
     # -- characteristic function ----------------------------------------------
     def char_single(self, x: FieldElement) -> CharValue:
@@ -279,23 +267,3 @@ def separate_omega(a: OmegaParam, b: OmegaParam, field: FieldParams) -> FieldEle
         if a.char_single(x) != b.char_single(x):
             return x
     return None
-
-
-# ---------------------------------------------------------------------------
-# finite-description helper
-# ---------------------------------------------------------------------------
-
-
-def truncate_rule(rule: Callable[[int], int | None], depth: int) -> DeltaParam:
-    """Finite-head approximant of a sequence given by a rule j -> entry
-    (None for -inf).  The value at any fixed argument ell depends only on
-    entries > -ell, so approximants converge as depth grows."""
-    head = []
-    for j in range(1, depth + 1):
-        v = rule(j)
-        if v is None:
-            break
-        head.append(int(v))
-    if not _is_nonincreasing(head):
-        raise InvalidParam("rule is not non-increasing on the truncated range")
-    return DeltaParam(tuple(head), None)

@@ -10,9 +10,11 @@ Every entry of O_F / pi^K is drawn by :func:`_uniform_window`, and each law
 has one batched draw.  Haar measure has :func:`_haar_rows`: the Monte Carlo
 orbital integrals read its first rows, :func:`haar_gl` is its one-sample
 view and :func:`orbital_push` draws its g1 and g2 as two samples of it.
-Each measure family has :func:`_corner_draws`, with one stream per
-independent variable; ``orbital.measure_charfun_batch`` reads its diagonal
-and :func:`sample_corner` is its one-sample view.
+The corner of a measure-family parameter is one validated term list,
+:func:`_corner_law`: :func:`_corner_draws` draws its variables, one stream
+per path, :func:`sample_corner` is the one-sample view of that draw, and
+``orbital.measure_charfun_batch`` and ``orbital.generator_diagonal`` read
+its coefficients.
 """
 
 from __future__ import annotations
@@ -160,28 +162,43 @@ def haar_gl(rng: RandomStream, params: FieldParams, n: int) -> MatF:
 # ---------------------------------------------------------------------------
 
 
+def _corner_law(field: FieldParams, param):
+    """The corner of ``param`` as plain integers and stream paths: rank-one
+    terms (k, c, x_path, y_path) standing for c pi^-k X Y^t, with c = 1 or
+    the digit of eps (two-sided family: X and Y from ("x", t) and ("y", t);
+    symmetric family: X X^t from ("x", t), then eps Y Y^t from ("y", t)),
+    and the Haar tail (k, "z") (resp. (k, "h")), or None for a -inf tail.
+    Every corner consumer reads this one list; it refuses a dyadic field for
+    the symmetric family, then an invalid parameter."""
+    if isinstance(param, OmegaParam):
+        field.require_nondyadic("the symmetric family")
+    _require_valid(param)
+    if isinstance(param, DeltaParam):
+        terms = [(k, 1, ("x", t), ("y", t)) for t, k in enumerate(param.head)]
+        return terms, None if param.tail is None else (param.tail, "z")
+    eps = field.nonsquare_unit_digit
+    terms = [(k, 1, ("x", t), ("x", t)) for t, k in enumerate(param.kk)]
+    terms += [(k, eps, ("y", t), ("y", t)) for t, k in enumerate(param.kkp)]
+    return terms, None if param.k is None else (param.k, "h")
+
+
 def _corner_draws(field: FieldParams, param, n: int, count: int, window: int, stream: RandomStream):
     """Every variable of ``count`` corners of ``param`` mod pi^window, each
-    from its own stream (integers below p^window over Q_p, digits on a
-    trailing axis over F_p((t))): rank-one terms (k, c, X, Y) standing for
-    c pi^-k X Y^t, X and Y of shape (count, n[, window]) from ("x", t) and
-    ("y", t) (symmetric family: X X^t, then eps Y Y^t with c the digit of
-    eps), and the Haar tail (k, Z), Z of shape (count, n, n[, window]) from
-    "z" (resp. "h"), or None for a -inf tail."""
+    from its own stream of :func:`_corner_law` (integers below p^window over
+    Q_p, digits on a trailing axis over F_p((t))): rank-one terms
+    (k, c, X, Y), X and Y of shape (count, n[, window]) and one array when
+    their paths agree, and the Haar tail (k, Z), Z of shape
+    (count, n, n[, window]), or None for a -inf tail."""
 
     def draw(*path, shape=(n,)):
         return _uniform_window(field, stream.child(*path), window, (count,) + shape)
 
-    if isinstance(param, DeltaParam):
-        terms = [(k, 1, draw("x", t), draw("y", t)) for t, k in enumerate(param.head)]
-        tail, name = param.tail, "z"
-    else:
-        eps = field.nonsquare_unit_digit
-        squares = [(k, 1, draw("x", t)) for t, k in enumerate(param.kk)]
-        squares += [(k, eps, draw("y", t)) for t, k in enumerate(param.kkp)]
-        terms = [(k, c, X, X) for k, c, X in squares]
-        tail, name = param.k, "h"
-    return terms, None if tail is None else (tail, draw(name, shape=(n, n)))
+    law, tail = _corner_law(field, param)
+    terms = []
+    for k, c, x_path, y_path in law:
+        X = draw(*x_path)
+        terms.append((k, c, X, X if y_path == x_path else draw(*y_path)))
+    return terms, None if tail is None else (tail[0], draw(tail[1], shape=(n, n)))
 
 
 def sample_corner(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
@@ -199,12 +216,9 @@ def sample_corner(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
     b-bit slot (B = 2^b), wide enough that no digit sum carries, reduced
     mod p slot by slot.
     """
-    if isinstance(param, OmegaParam):
-        field.require_nondyadic("the symmetric family")
-    _require_valid(param)
     p, N, padic = field.p, field.precision, field.family == "padic"
     terms, haar = _corner_draws(field, param, n, 1, N, rng)
-    kmax = param.support_bound()  # at least every k
+    kmax = max([0] + [k for k, _, _, _ in terms] + ([haar[0]] if haar else []))
     # a slot sums N digit products times c < p per rank-one term, plus a tail digit
     b = ((len(terms) + 1) * N * (p - 1) ** 3 + p).bit_length()
     B = p if padic else 1 << b

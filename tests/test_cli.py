@@ -240,6 +240,14 @@ def test_converge_subcommand(capsys):
     assert all(r["pass"] for r in rows)
 
 
+@pytest.mark.parametrize("payload", ['{"head": [1, 2], "tail": "neginf"}', '{"k": "neginf", "kk": [], "kkp": [1, 1]}'])
+def test_converge_refuses_an_invalid_parameter(capsys, payload):
+    code, out, err = run(capsys, "converge", "--param", payload, "--n-list", "4", "--samples", "200")
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1 and out == ""
+    assert len(errors) == 1 and errors[0].startswith("error: InvalidParam: ")
+
+
 @pytest.mark.parametrize("spec", ["padic:p=3,prec=12", "laurent:p=3,prec=12"])
 def test_converge_large_n(capsys, spec):
     code, out, _ = run(

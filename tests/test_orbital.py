@@ -19,6 +19,7 @@ from nonarch.orbital import (
     exact_orbital_integral,
     full_rank_fraction,
     mc_orbital_multi,
+    measure_charfun_batch,
     product_formula,
 )
 from nonarch.params import DeltaParam, OmegaParam
@@ -121,6 +122,16 @@ def test_mc_congruence_unit_level_is_constant(q3):
 def test_mc_rank_guard(q3):
     with pytest.raises(DimensionMismatch):
         mc_orbital_multi(q3, KIND_TWO_SIDED, [1], [[1, 1]], 200, RandomStream(1))
+
+
+def test_mc_refuses_fewer_than_one_sample(q3):
+    # no samples give no estimate, not a certain mean of 1; both Monte Carlo
+    # estimators share the one check
+    for n_samples in (0, -5):
+        with pytest.raises(ValueError, match="at least one sample"):
+            mc_orbital_multi(q3, KIND_TWO_SIDED, [1, 0], [[1]], n_samples, RandomStream(1))
+        with pytest.raises(ValueError, match="at least one sample"):
+            measure_charfun_batch(q3, DeltaParam((1,), None), 2, n_samples, [[q3.one()]], RandomStream(1))
 
 
 def test_mc_argument_beyond_the_window_raises_like_chi():

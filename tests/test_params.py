@@ -13,7 +13,6 @@ from nonarch.params import (
     param_from_json,
     probe_grid,
     separate_omega,
-    truncate_rule,
     validate,
 )
 from nonarch.sampling import RandomStream
@@ -249,15 +248,3 @@ def test_omega_probe_grid_separates(q3):
             continue
         assert separate_omega(a, b, q3) is not None
         done += 1
-
-
-# -- finite-description helper ----------------------------------------------------
-
-
-def test_truncate_rule():
-    p = truncate_rule(lambda j: 5 - j, 4)
-    assert p == DeltaParam((4, 3, 2, 1), None)
-    p = truncate_rule(lambda j: 3 if j == 1 else None, 10)
-    assert p == DeltaParam((3,), None)
-    with pytest.raises(InvalidParam):
-        truncate_rule(lambda j: j, 3)

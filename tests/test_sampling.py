@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonarch import orbital
-from nonarch.errors import DyadicField, InsufficientPrecision, InvalidParam
+from nonarch.errors import DimensionMismatch, DyadicField, InsufficientPrecision, InvalidParam
 from nonarch.field import FieldParams
 from nonarch.characters import chi
 from nonarch.matrices import MatF, singular_numbers, sym_diagonalize
 from nonarch.orbital import (
     _corner_rows,
+    convergence_experiment,
     empirical_charfun,
     generator_diagonal,
     invertible_mask,
@@ -197,15 +198,23 @@ def test_mu_corner_support_and_zero(q3):
 
 
 def test_corner_rejects_invalid_parameters(q3):
+    # every entry point that reads the corner of a parameter refuses it alike
     rng = RandomStream(3)
-    with pytest.raises(InvalidParam, match="head is not non-increasing"):
-        sample_corner(q3, DeltaParam((1, 2), None), 2, rng)
-    with pytest.raises(InvalidParam, match="kkp is not strictly decreasing"):
-        sample_corner(q3, OmegaParam(None, (), (1, 1)), 2, rng)
-    with pytest.raises(InvalidParam, match="not a parameter object"):
-        sample_corner(q3, (1, 2), 2, rng)
-    with pytest.raises(DyadicField):  # the field is checked before the parameter
-        sample_corner(FieldParams("padic", 2, 8), OmegaParam(None, (), (1, 1)), 2, rng)
+    entry_points = (
+        lambda field, param: sample_corner(field, param, 2, rng),
+        lambda field, param: measure_charfun_batch(field, param, 2, 10, [[field.one()]], rng),
+        lambda field, param: generator_diagonal(field, param, 3),
+        lambda field, param: convergence_experiment(field, param, [4], 10, rng),
+    )
+    for corner in entry_points:
+        with pytest.raises(InvalidParam, match="head is not non-increasing"):
+            corner(q3, DeltaParam((1, 2), None))
+        with pytest.raises(InvalidParam, match="kkp is not strictly decreasing"):
+            corner(q3, OmegaParam(None, (), (1, 1)))
+        with pytest.raises(InvalidParam, match="not a parameter object"):
+            corner(q3, (1, 2))
+        with pytest.raises(DyadicField, match="the symmetric family"):  # the field is checked before the parameter
+            corner(FieldParams("padic", 2, 8), OmegaParam(None, (), (1, 1)))
 
 
 def test_nu_corner_symmetric_and_rank_one(q3):
@@ -283,6 +292,26 @@ def test_diagonal_entries_factorize(q3, l3):
         ]
         joint, m1, m2 = measure_charfun_batch(field, par, 2, 40_000, probes, RandomStream(37))
         assert abs(joint.mean - m1.mean * m2.mean) <= 3 * (joint.stderr + m1.stderr + m2.stderr)
+
+
+def test_batch_refuses_a_probe_longer_than_the_corner(q3):
+    x = q3.uniformizer_pow(-1)
+    for n in (0, 1, 2):
+        with pytest.raises(DimensionMismatch):
+            measure_charfun_batch(q3, DeltaParam((1,), None), n, 10, [[x, x, x]], RandomStream(1))
+
+
+def test_batch_reads_the_eps_coefficient(q3, l3):
+    # a single eps-twisted term: chi(eps pi^-1 y^2) averages to
+    # theta(eps pi^-1), about -0.577i over Q_3 and F_3((t)); the same term
+    # drawn with coefficient 1 averages to theta(pi^-1), its conjugate
+    om, count = OmegaParam(None, (), (0,)), 2000
+    for field in (q3, l3):
+        x = field.uniformizer_pow(-1)
+        (est,) = measure_charfun_batch(field, om, 3, count, [[x]], RandomStream(5))
+        closed = om.char_single(x).to_complex(3)
+        assert abs((est.mean - closed).real) <= 4 / math.sqrt(count)
+        assert abs((est.mean - closed).imag) <= 4 / math.sqrt(count)
 
 
 def test_batch_sampler_padic_draws_pinned(monkeypatch, q3):
