@@ -74,9 +74,6 @@ class CharValue:
         k = (_UNIT_TO_K[self.unit] + _UNIT_TO_K[other.unit]) % 4
         return CharValue(_K_TO_UNIT[k], self.half_exp + other.half_exp)
 
-    def __mul__(self, other):
-        return self.mul(other)
-
     def to_complex(self, q: int) -> complex:
         return _UNIT_TO_COMPLEX[self.unit] * q ** (-self.half_exp / 2)
 

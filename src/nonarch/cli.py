@@ -25,7 +25,7 @@ from .orbital import convergence_experiment
 from .params import DeltaParam, OmegaParam, convolve, param_from_json
 from .residue import gauss_sum
 from .sampling import RandomStream, haar_gl, sample_corner
-from .characters import theta_closed, KIND_SQUARE, KIND_BILINEAR
+from .characters import theta_closed
 
 MIN_MC_SAMPLES = 100
 
@@ -204,8 +204,7 @@ def _cmd_gauss_sum(args, field: FieldParams):
 
 def _cmd_theta(args, field: FieldParams):
     x = _parse_element(field, args.x)
-    kind = KIND_SQUARE if args.kind == "square" else KIND_BILINEAR
-    _emit(args, theta_closed(x, kind).to_json())
+    _emit(args, theta_closed(x, args.kind).to_json())
     return 0
 
 

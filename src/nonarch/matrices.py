@@ -2,13 +2,15 @@
 (singular numbers) and symmetric congruence diagonalization, both with
 recomposition witnesses in GL(n, O_F), and the determinant.
 
-One elimination rule serves all three.  An update whose window cancels
-leaves the certified vanishing value O(pi^g) that ``+`` returns.  A
-vanishing entry is never a pivot: the pivot is a visible entry of least
-ord, and only one whose ord is at most the least certified g in the
-remaining block, so every multiplier lies in O_F and every visible digit
-stays certified.  A multiplier that is itself O(pi^g) still updates the
-block, so the bound spreads, but leaves the witnesses alone, where it
+One elimination rule serves all three, written once: ``_pivot`` picks the
+pivot, ``_clear_column`` clears the column under it, and the witnesses
+change only through ``_add_column`` and ``_swap_columns``.  An update whose
+window cancels leaves the certified vanishing value O(pi^g) that ``+``
+returns.  A vanishing entry is never a pivot: the pivot is a visible entry
+of least ord, and only one whose ord is at most the least certified g in
+the remaining block, so every multiplier lies in O_F and every visible
+digit stays certified.  A multiplier that is itself O(pi^g) still updates
+the block, so the bound spreads, but leaves the witnesses alone, where it
 stands for 0.  Elimination stops when no entry qualifies; the remaining
 block then lies in pi^g O_F.
 
@@ -214,6 +216,36 @@ def _pivot(w, k: int, n: int):
     return (best, lo) if lo <= g else (None, g)
 
 
+def _add_column(m, dst: int, src: int, f: FieldElement, n: int):
+    """m <- m (I + f e_{src,dst}): column dst gains f times column src."""
+    for r in range(n):
+        m[r][dst] += f * m[r][src]
+
+
+def _swap_columns(m, i: int, j: int, n: int):
+    for r in range(n):
+        m[r][i], m[r][j] = m[r][j], m[r][i]
+
+
+def _clear_column(w, wit, k: int, n: int) -> FieldElement:
+    """Clear the column under the pivot w[k][k]: row i of the block loses
+    f_i = w[i][k] / w[k][k], which lies in O_F, times row k, and column k of
+    the witness gains f_i times column i unless f_i is vanishing, where it
+    stands for 0.  Returns the pivot's inverse."""
+    inv = w[k][k].inverse()
+    zero = inv.params.zero()
+    for i in range(k + 1, n):
+        if w[i][k].is_zero():
+            continue
+        f = w[i][k] * inv
+        w[i][k] = zero
+        for j in range(k + 1, n):
+            w[i][j] -= f * w[k][j]
+        if f.unit is not None:
+            _add_column(wit, k, i, f, n)
+    return inv
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form over the valuation ring
 # ---------------------------------------------------------------------------
@@ -261,15 +293,15 @@ class SNFResult:
 
 def _smith(A: MatF):
     """Two-sided elimination of A on the one rule: move the pivot to the
-    corner and clear its row and column with multipliers in O_F, then
+    corner and clear its column and row with multipliers in O_F, then
     recurse.  Returns the pivots, the sign of the row and column swaps, the
     certified g of the unresolved block (ORD_INF when none is left) and the
-    witnesses a and b as row lists: a * W * b agrees with A for the working
-    matrix W at every step."""
+    witnesses a and b^t as row lists (b transposed, so that its row moves
+    are column moves): a * W * b agrees with A for the working W throughout."""
     params, n = A.params, A.rows
     w = A.to_lists()
     a = MatF.identity(params, n).to_lists()
-    b = MatF.identity(params, n).to_lists()
+    bt = MatF.identity(params, n).to_lists()
     pivots, sign = [], 1
     for k in range(n):
         piv, bound = _pivot(w, k, n)
@@ -279,35 +311,20 @@ def _smith(A: MatF):
         if i0 != k:
             w[k], w[i0] = w[i0], w[k]
             sign = -sign
-            for r in range(n):  # a <- a * P swaps columns k, i0
-                a[r][k], a[r][i0] = a[r][i0], a[r][k]
+            _swap_columns(a, k, i0, n)
         if j0 != k:
-            for r in range(n):
-                w[r][k], w[r][j0] = w[r][j0], w[r][k]
+            _swap_columns(w, k, j0, n)
             sign = -sign
-            b[k], b[j0] = b[j0], b[k]
-        pivot = w[k][k]
-        pivots.append(pivot)
-        inv = pivot.inverse()
-        for i in range(k + 1, n):
-            if w[i][k].is_zero():
-                continue
-            f = w[i][k] * inv
-            w[i][k] = params.zero()
-            for j in range(k + 1, n):
-                w[i][j] -= f * w[k][j]
-            if f.unit is not None:  # a vanishing f stands for 0
-                for r in range(n):  # a <- a * (I + f e_{ik}): col k += f * col i
-                    a[r][k] += f * a[r][i]
+            _swap_columns(bt, k, j0, n)
+        pivots.append(w[k][k])
+        inv = _clear_column(w, a, k, n)
         for j in range(k + 1, n):
             if w[k][j].unit is None:  # zero, or vanishing: stands for 0
                 continue
-            g = w[k][j] * inv
-            for r in range(n):  # b <- (I + g e_{kj}) b: row k += g * row j
-                b[k][r] += g * b[j][r]
+            _add_column(bt, k, j, w[k][j] * inv, n)
     else:
         bound = ORD_INF
-    return pivots, sign, bound, a, b
+    return pivots, sign, bound, a, bt
 
 
 def smith_normal_form(A: MatF) -> SNFResult:
@@ -316,14 +333,14 @@ def smith_normal_form(A: MatF) -> SNFResult:
     if A.rows != A.cols:
         raise DimensionMismatch("square matrices only")
     params, n = A.params, A.rows
-    pivots, _, bound, a, b = _smith(A)
+    pivots, _, bound, a, bt = _smith(A)
     for k, pivot in enumerate(pivots):
         unit = pivot.shift(-pivot.ord)
         for r in range(n):
             a[r][k] = a[r][k] * unit
     tail = NEG_INF if bound == ORD_INF else AtMost(-bound)
     sing = tuple(-pivot.ord for pivot in pivots) + (tail,) * (n - len(pivots))
-    return SNFResult(MatF.from_rows(params, a), sing, MatF.from_rows(params, b))
+    return SNFResult(MatF.from_rows(params, a), sing, MatF.from_rows(params, zip(*bt)))
 
 
 def singular_numbers(A: MatF) -> tuple:
@@ -387,12 +404,6 @@ def sym_diagonalize(A: MatF) -> SymDiagResult:
     n = A.rows
     w = A.to_lists()
     g = MatF.identity(params, n).to_lists()
-
-    def g_colop(dst: int, src: int, f: FieldElement):
-        # g <- g * (I + f e_{src,dst}) : col dst += f * col src
-        for r in range(n):
-            g[r][dst] += f * g[r][src]
-
     for k in range(n):
         piv, bound = _pivot(w, k, n)
         if piv is None:
@@ -405,29 +416,18 @@ def sym_diagonalize(A: MatF) -> SymDiagResult:
                 w[i][r] += w[j][r]
             for r in range(n):
                 w[r][i] += w[r][j]
-            g_colop(j, i, -params.one())  # g <- g * E^{-1} = g * (I - e_{ij})
+            _add_column(g, j, i, -params.one(), n)  # g <- g * E^{-1} = g * (I - e_{ij})
             if w[i][i].unit is None:  # 2 w_ij cancelled against O(pi^bound)
                 break
             di = i
         # move the chosen diagonal pivot to position (k, k)
         if di != k:
             w[k], w[di] = w[di], w[k]
-            for r in range(n):
-                w[r][k], w[r][di] = w[r][di], w[r][k]
-            for r in range(n):
-                g[r][k], g[r][di] = g[r][di], g[r][k]
-        inv = w[k][k].inverse()
-        factors = [w[i][k] * inv for i in range(k + 1, n)]
-        # Schur step: after the row pass row_i -= f_i * row_k the eliminated
-        # column is zero, so the matching column pass is a no-op on the block.
-        for f, i in zip(factors, range(k + 1, n)):
-            if not f.is_zero():
-                for j in range(k + 1, n):
-                    w[i][j] -= f * w[k][j]
-        for f, i in zip(factors, range(k + 1, n)):
-            w[i][k] = w[k][i] = params.zero()
-            if f.unit is not None:  # a vanishing f stands for 0
-                g_colop(k, i, f)
+            _swap_columns(w, k, di, n)
+            _swap_columns(g, k, di, n)
+        # Schur step: the row pass leaves the column zero, so the column pass
+        # is a no-op on the block; row k right of the pivot is never read again
+        _clear_column(w, g, k, n)
     else:
         k = n
     # Square classes cannot carry O(pi^g) yet, so an unresolved block is

@@ -49,7 +49,8 @@ from .field import FieldElement, FieldParams
 from .matrices import MatF
 from .params import DeltaParam
 from .sampling import (
-    KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream, _corner_draws, _corner_law, _entry_shape, _haar_rows, _pow_mod_vec
+    KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream, _check_kind, _corner_draws, _corner_law, _entry_shape, _haar_rows,
+    _pow_mod_vec,
 )
 
 _EXACT_ENUM_GUARD = 8_000_000
@@ -112,11 +113,6 @@ def as_element(field: FieldParams, v) -> FieldElement:
     if v is None:
         return field.zero()
     return field.uniformizer_pow(-int(v))
-
-
-def _check_kind(kind: str):
-    if kind not in (KIND_TWO_SIDED, KIND_CONGRUENCE):
-        raise ValueError(f"unknown kind {kind!r}")
 
 
 def _check_window(field: FieldParams, K: int):
@@ -357,16 +353,15 @@ class ErrorBounds:
 def error_bound(kind: str, n: int, r: int, q: int) -> ErrorBounds:
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
+    _check_kind(kind)
     x = full_rank_fraction(n, r, q)
     x1 = full_rank_fraction(n, 1, q)
     if kind == KIND_TWO_SIDED:
         fact = 2 * (1 - x * x)
         mult = fact + r * 2 * (1 - x1 * x1)
-    elif kind == KIND_CONGRUENCE:
+    else:
         fact = 2 * (1 - x)
         mult = fact + r * 2 * Fraction(1, q**n)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     return ErrorBounds(fact, mult)
 
 

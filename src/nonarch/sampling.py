@@ -265,14 +265,18 @@ KIND_TWO_SIDED = "two_sided"
 KIND_CONGRUENCE = "congruence"
 
 
+def _check_kind(kind: str):
+    if kind not in (KIND_TWO_SIDED, KIND_CONGRUENCE):
+        raise ValueError(f"unknown kind {kind!r}")
+
+
 def orbital_push(X: MatF, kind: str, rng: RandomStream) -> MatF:
     """One draw from the orbital measure generated by X: g1 X g2 under the
     two-sided action (g1, g2 two samples of one Haar draw), g X g^t under congruence."""
+    _check_kind(kind)
     n = X.rows
     if kind == KIND_TWO_SIDED:
         g1, g2 = _haar_gls(rng.child("g"), X.params, n, 2)
         return g1 @ X @ g2
-    if kind == KIND_CONGRUENCE:
-        g = haar_gl(rng.child("g"), X.params, n)
-        return g @ X @ g.transpose()
-    raise ValueError(f"unknown orbital kind {kind!r}")
+    g = haar_gl(rng.child("g"), X.params, n)
+    return g @ X @ g.transpose()

@@ -141,17 +141,6 @@ def test_bruteforce_guard_and_digit_window(q3):
         theta_bruteforce(FieldParams("padic", 3, 2).uniformizer_pow(-3), KIND_SQUARE)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_kernel_oracle_agreement(p):
-    field = FieldParams("padic", p, 12)
-    eps = field.eps()
-    for ell in range(-3, 4):
-        for u in (field.one(), eps):
-            x = u.shift(ell)
-            for kind in (KIND_BILINEAR, KIND_SQUARE):
-                assert abs(theta_closed(x, kind).to_complex(p) - theta_bruteforce(x, kind)) <= 1e-9
-
-
 def test_kernel_oracle_agreement_laurent(l3):
     eps = l3.eps()
     for ell in range(-3, 4):

@@ -2,6 +2,7 @@
 Smith form (invariant factors over ZZ and GF(p)[t]) and on the inputs that
 once exhausted the precision or got wrong digits."""
 
+import hashlib
 import json
 import math
 
@@ -14,10 +15,10 @@ from sympy.polys.matrices.normalforms import invariant_factors
 
 from nonarch.cli import main
 from nonarch.errors import PrecisionExhausted
-from nonarch.field import FieldParams
+from nonarch.field import FieldElement, FieldParams
 from nonarch.matrices import AtMost, MatF, singular_numbers, smith_normal_form, sym_diagonalize
 from nonarch.sampling import KIND_TWO_SIDED, RandomStream, orbital_push
-from nonarch.verification import verify_decompositions
+from nonarch.verification import _random_matrix, verify_decompositions
 
 NEG_INF = -math.inf
 REPRODUCER = [[1, 6, -2, 16], [79, 15, 4, 49], [0, 0, 27, 0], [236, 39, 14, 131]]
@@ -220,6 +221,21 @@ def test_unresolved_symmetric_input_is_a_failing_row():
     assert failed == ["symmetric input 436: precision exhausted at certified ord 10"]
 
 
+def test_a_vanishing_multiplier_bounds_the_block_and_leaves_the_witness():
+    # the entry under the first pivot is O(3^3), so its multiplier is
+    # vanishing: it still spreads the bound into the block (det = 5 - 2 O(3^3)
+    # is known mod 3^3 only), but stands for 0 in the witness a, whose first
+    # column stays e_0 exactly
+    field = FieldParams("padic", 3, 6)
+    A = MatF.from_rows(field, [[field.one(), field.from_int(2)], [FieldElement(field, 3, None, 0), field.from_int(5)]])
+    det = A.det()
+    assert det.agrees(field.from_int(5)) and det.abs_prec == 3
+    res = smith_normal_form(A)
+    assert res.sing == (0, 0)
+    assert res.a[0, 0] == field.one() and res.a[1, 0].is_zero()
+    assert res.recompose().agrees(A)
+
+
 def test_snf_cli_prints_a_bound(capsys):
     field = FieldParams("padic", 3, 6)
     A = lift(field, REPRODUCER)
@@ -230,3 +246,43 @@ def test_snf_cli_prints_a_bound(capsys):
     assert payload["sing"] == [0, -3, -3, {"at_most": -6}]
     assert payload["recomposes"]
 
+
+
+# -- the witnesses, pinned byte for byte ------------------------------------------
+
+# Both families at p = 3 and 5, and two fields of precision 3, where tail
+# bounds, PrecisionExhausted and vanishing multipliers occur.
+PIN_FIELDS = [
+    ("padic", 3, 12), ("padic", 5, 12), ("laurent", 3, 12), ("laurent", 5, 12), ("padic", 3, 3), ("laurent", 3, 3),
+]
+PIN_SHA256 = "4a391dcf1c4d2bd5fbb27a411ac387f012be8381443fd7de830ba6bcdd52acb8"
+
+
+def test_decomposition_witnesses_are_pinned():
+    # 80 inputs per field, n = 1..5: the SNF exponents, witnesses and det,
+    # and the congruence witness and diagonal or the certified ord of the
+    # PrecisionExhausted, hashed as JSON
+    def exponent(k):
+        return {"at_most": k.k} if isinstance(k, AtMost) else None if k == NEG_INF else k
+
+    records, seen = [], set()
+    for spec in PIN_FIELDS:
+        field = FieldParams(*spec)
+        for i in range(80):
+            rng = RandomStream(5).child("pin", field.spec_string(), i)
+            A = _random_matrix(field, rng.child("mat"), 1 + i % 5)
+            S = _random_matrix(field, rng.child("sym"), 1 + i % 5, symmetric=True)
+            res = smith_normal_form(A)
+            rec = {"sing": [exponent(k) for k in res.sing], "a": res.a.to_json(), "b": res.b.to_json()}
+            rec["det"] = A.det().to_json()
+            if any(isinstance(k, AtMost) for k in res.sing):
+                seen.add("bound")
+            try:
+                sym = sym_diagonalize(S)
+                rec["g"], rec["diag"] = sym.g.to_json(), [x.to_json() for x in sym.diag_entries]
+            except PrecisionExhausted as exc:
+                rec["exhausted"] = exc.guaranteed_ord
+                seen.add("exhausted")
+            records.append(rec)
+    assert seen == {"bound", "exhausted"}
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == PIN_SHA256

@@ -27,6 +27,7 @@ from nonarch.sampling import (
     KIND_TWO_SIDED,
     RandomStream,
     _corner_draws,
+    _element,
     _haar_rows,
     haar_gl,
     orbital_push,
@@ -344,12 +345,6 @@ def test_batch_sampler_padic_draws_pinned(monkeypatch, q3):
         assert [e.n_samples for e in ests] == [3000] * 3
         for est, value in zip(ests, pinned):
             assert abs(est.mean - value) <= 1e-12
-
-
-def _element(field, a):
-    """A drawn value as a FieldElement: the integer itself over Q_p, its
-    digit window over F_p((t))."""
-    return field.from_base_p(int(a)) if field.family == "padic" else field.element(0, a)
 
 
 def _reference_corner(field, param, n, rng):

@@ -66,6 +66,20 @@ def test_exact_oracle_reports_guarded_levels(tmp_path):
     assert main(["verify", "--field", field.spec_string(), "--samples", str(MIN_MC_SAMPLES), "--out", out, "bounds"]) == 2
 
 
+def test_exact_oracle_reports_a_guarded_stability_level(tmp_path):
+    # over Q_17 level 2 of each two-sided case fits the enumeration guard
+    # but level 3 (17^6 lift pairs) does not: its stability check is one
+    # failing row, and verify exits 2
+    field = FieldParams("padic", 17, 8)
+    suite = verify_exact_oracle(field, RandomStream(1).child("oracle"), n_samples=200)
+    failed = [row["label"] for row in suite.rows if not row["pass"]]
+    guarded = "level stability: level 3 exceeds the enumeration guard (enumeration of 4913^2 arrays exceeds the guard)"
+    assert failed == [f"two_sided D={dv} A={av}: {guarded}" for dv, av in (([1], [1]), ([1, 0], [1]), ([1, 0], [1, 1]))]
+    assert len(suite.rows) == 6 * 4
+    out = str(tmp_path / "report.json")
+    assert main(["verify", "--field", field.spec_string(), "--samples", "200", "--out", out, "bounds"]) == 2
+
+
 @pytest.mark.parametrize(
     "suite, spec",
     [
