@@ -47,8 +47,8 @@ from .residue import legendre
 ORD_INF = math.inf
 
 _FAMILIES = ("padic", "laurent")
-# array typecodes of the Kronecker slots, narrowest first
-_SLOT_CODES = "BHIQ"
+# (array typecode, bytes) of the machine-word Kronecker slots, narrowest first
+_SLOT_TYPES = tuple((code, array(code).itemsize) for code in "BHIQ")
 
 
 def _vp(n: int, p: int) -> int:
@@ -182,11 +182,9 @@ class FieldParams:
 
     @cached_property
     def _slot(self) -> tuple[str, int]:
-        """(array typecode, bytes) of the Kronecker slot for F_p((t))
-        products: a product coefficient sums at most precision terms below
-        (p-1)^2."""
-        bound = self.precision * (self.p - 1) ** 2
-        return next((c, array(c).itemsize) for c in _SLOT_CODES if bound < 1 << (8 * array(c).itemsize))
+        """The Kronecker slot of F_p((t)) products: a product coefficient
+        sums at most precision terms below (p-1)^2."""
+        return _slot_layout(self.precision * (self.p - 1) ** 2)
 
     @cached_property
     def _residue_sqrts(self) -> dict[int, int]:
@@ -458,16 +456,52 @@ class FieldElement:
 _set_params, _set_ord, _set_unit, _set_rel = (getattr(FieldElement, n).__set__ for n in FieldElement.__slots__)
 
 
+def _slot_layout(bound: int) -> tuple[str | None, int]:
+    """(array typecode, bytes) of the narrowest Kronecker slot holding every
+    integer below ``bound``: a machine word, else (None, bytes) for a slot
+    wider than 64 bits."""
+    for code, width in _SLOT_TYPES:
+        if bound < 1 << (8 * width):
+            return code, width
+    return None, (bound.bit_length() + 7) // 8
+
+
+def _to_slots(digits, slot: tuple[str | None, int]) -> int:
+    """The integer holding digits[s] in slot s of :func:`_slot_layout`
+    (native byte order, slot 0 lowest)."""
+    code, width = slot
+    if code is None:
+        return int.from_bytes(b"".join([int(d).to_bytes(width, sys.byteorder) for d in digits]), sys.byteorder)
+    return int.from_bytes(array(code, digits), sys.byteorder)
+
+
+def _rows_to_slots(rows, slot: tuple[str | None, int]) -> list[int]:
+    """:func:`_to_slots` of every digit row of an integer numpy array
+    (..., K), in C order, from one copy of the array in the slot type."""
+    code, width = slot
+    if code is None:
+        return [_to_slots(row, slot) for row in rows.reshape(-1, rows.shape[-1]).tolist()]
+    raw, size = rows.astype(code).tobytes(), width * rows.shape[-1]
+    return [int.from_bytes(raw[i : i + size], sys.byteorder) for i in range(0, len(raw), size)]
+
+
+def _from_slots(value: int, slot: tuple[str | None, int], count: int):
+    """Slots 0..count-1 of an integer 0 <= value < 2^(8 * bytes * count)."""
+    code, width = slot
+    raw = value.to_bytes(width * count, sys.byteorder)
+    if code is None:
+        return [int.from_bytes(raw[i : i + width], sys.byteorder) for i in range(0, len(raw), width)]
+    return memoryview(raw).cast(code)
+
+
 def _kronecker_mul(a: tuple, b: tuple, rel: int, params: FieldParams) -> tuple:
     """Low ``rel`` coefficients of the product of two F_p[t] digit windows by
     Kronecker substitution: each window becomes one integer with a
-    coefficient per (native-endian) slot, one big-int product convolves
-    them, and the slots, wide enough that no coefficient sum carries, are
-    reduced mod p."""
-    (code, width), p, order = params._slot, params.p, sys.byteorder
-    product = int.from_bytes(array(code, a), order) * int.from_bytes(array(code, b), order)
-    slots = memoryview(product.to_bytes(width * (len(a) + len(b)), order)).cast(code)
-    return tuple([c % p for c in slots[:rel]])
+    coefficient per slot, one big-int product convolves them, and the
+    slots, wide enough that no coefficient sum carries, are reduced mod p."""
+    slot, p = params._slot, params.p
+    product = _to_slots(a, slot) * _to_slots(b, slot)
+    return tuple([c % p for c in _from_slots(product, slot, len(a) + len(b))[:rel]])
 
 
 def _require_resolved(x: FieldElement, what: str):

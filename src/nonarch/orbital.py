@@ -463,19 +463,19 @@ def empirical_charfun(samples, A: MatF) -> McEstimate:
     if A.rows > n or A.cols > n:
         raise DimensionMismatch("argument larger than the samples")
     acc = _Acc()
-    vals = [_chi_trace(A, M) for M in samples]
+    terms = [(i, j, A[i, j]) for i in range(A.rows) for j in range(A.cols) if not A[i, j].is_zero()]
+    vals = [_chi_trace(terms, M) for M in samples]
     acc.add(np.asarray(vals, dtype=complex))
     return acc.finalize(0)
 
 
-def _chi_trace(A: MatF, M: MatF) -> complex:
-    """chi(tr(A M)); a sum cancelled to O(pi^g) with g >= 0 lies in O_F,
+def _chi_trace(terms, M: MatF) -> complex:
+    """chi(tr(A M)) from the nonzero entries (i, j, A[i, j]) of A, summed in
+    row-major order; a sum cancelled to O(pi^g) with g >= 0 lies in O_F,
     where chi is 1, and one cancelled below ord 0 raises in chi."""
-    t = M.params.zero()
-    for i in range(A.rows):
-        for j in range(A.cols):
-            if not A[i, j].is_zero():
-                t += A[i, j] * M[j, i]
+    t, entries, cols = M.params.zero(), M.entries, M.cols
+    for i, j, a in terms:
+        t += a * entries[j * cols + i]
     return chi(t)
 
 

@@ -2,9 +2,14 @@
 GL(n, O_F), finite corners of the two measure families, and orbital pushes.
 
 Randomness is counter-based: a :class:`RandomStream` is a (seed, derivation
-path) pair keyed into a Philox generator, so any two draws with distinct
-paths are independent and identical paths reproduce identical draws no
-matter how work is scheduled across threads or processes.
+path) pair whose blake2b digest keys a Philox stream, so any two draws with
+distinct paths are independent and identical paths reproduce identical
+draws no matter how work is scheduled across threads or processes.  A
+stream holds only its Philox state (key, counter and buffered bits); each
+thread has one Philox generator, into which a draw loads the stream's state
+and from which it reads the advanced state back.  Since a Philox stream is
+determined by its key and counter, the draws are those of a Philox keyed
+afresh for every stream, without paying for a generator per stream.
 
 Every entry of O_F / pi^K is drawn by :func:`_uniform_window`, and each law
 has one batched draw.  Haar measure has :func:`_haar_rows`: the Monte Carlo
@@ -20,10 +25,14 @@ its coefficients.
 from __future__ import annotations
 
 import hashlib
+import struct
+import threading
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
-from .field import FieldElement, FieldParams, _vp
+from .field import FieldElement, FieldParams, _from_slots, _rows_to_slots, _slot_layout, _vp
 from .matrices import MatF
 from .params import DeltaParam, OmegaParam, _require_valid
 
@@ -32,34 +41,64 @@ class RandomStream:
     """Deterministic stream addressed by (seed, path).
 
     ``child(*parts)`` derives an independent stream; draws from one stream
-    advance its own Philox generator sequentially.
+    advance its own Philox state sequentially.  A stream is not meant to be
+    drawn from by two threads at once: its draws would then depend on the
+    schedule.
     """
 
-    __slots__ = ("seed", "path", "_gen")
+    __slots__ = ("seed", "path", "_state")
 
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed) & (2**64 - 1)
         self.path = tuple(path)
-        self._gen = None
+        self._state = None
 
     def child(self, *parts) -> "RandomStream":
         return RandomStream(self.seed, self.path + tuple(parts))
 
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            material = repr((self.seed, self.path)).encode()
-            digest = hashlib.blake2b(material, digest_size=16).digest()
-            key = np.frombuffer(digest, dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
-        return self._gen
+    def _draw(self, method, *args, **kwargs):
+        """``method`` of the thread's generator, run on this stream's state."""
+        generator = _thread_generator()
+        bits = generator.bit_generator
+        if self._state is None:
+            digest = hashlib.blake2b(repr((self.seed, self.path)).encode(), digest_size=16).digest()
+            # the state of np.random.Philox(key=np.frombuffer(digest, np.uint64)): counter 0, no bits buffered
+            self._state = {
+                "bit_generator": "Philox",
+                "state": {"counter": (0, 0, 0, 0), "key": struct.unpack("=2Q", digest)},
+                "buffer": (0, 0, 0, 0),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        bits.state = self._state
+        out = method(generator, *args, **kwargs)
+        self._state = bits.state
+        return out
 
     def integers(self, low: int, high: int | None = None, size=None):
         """numpy-style uniform integers: [0, low) or [low, high)."""
-        return self.generator.integers(low, high, size=size)
+        return self._draw(np.random.Generator.integers, low, high, size=size)
+
+    def shuffle(self, x):
+        """Shuffle the sequence x in place, as ``np.random.Generator.shuffle``."""
+        self._draw(np.random.Generator.shuffle, x)
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, path={self.path})"
+
+
+# every draw runs on its thread's one generator, loaded with the drawing
+# stream's state, so no state outlives a draw in it
+_THREAD = threading.local()
+
+
+def _thread_generator() -> np.random.Generator:
+    try:
+        return _THREAD.generator
+    except AttributeError:
+        _THREAD.generator = np.random.Generator(np.random.Philox(0))
+        return _THREAD.generator
 
 
 # ---------------------------------------------------------------------------
@@ -213,48 +252,55 @@ def sample_corner(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
     the sum cancels there, the exact zero when every term is zero.  Each
     entry is summed as an exact integer, all terms scaled by pi^kmax: over
     Q_p the values themselves (base B = p), over F_p((t)) one digit per
-    b-bit slot (B = 2^b), wide enough that no digit sum carries, reduced
-    mod p slot by slot.
+    Kronecker slot of ``field._slot_layout`` (B = 2^(8 * slot bytes)), wide
+    enough that no digit sum carries, reduced mod p slot by slot.
     """
     p, N, padic = field.p, field.precision, field.family == "padic"
     terms, haar = _corner_draws(field, param, n, 1, N, rng)
     kmax = max([0] + [k for k, _, _, _ in terms] + ([haar[0]] if haar else []))
     # a slot sums N digit products times c < p per rank-one term, plus a tail digit
-    b = ((len(terms) + 1) * N * (p - 1) ** 3 + p).bit_length()
+    slot = _slot_layout((len(terms) + 1) * N * (p - 1) ** 3 + p)
+    b = 8 * slot[1]
     B = p if padic else 1 << b
-    slots = np.array([B**s for s in range(N)], dtype=object)
 
-    def ints(a):  # drawn values as integers in base B
-        return a.tolist() if padic else (a.astype(object) @ slots).tolist()
+    def ints(a):  # the drawn values of a, in C order, as integers in base B
+        return a.ravel().tolist() if padic else _rows_to_slots(a, slot)
 
-    def val(v):  # the valuation (plus kmax) of one nonzero scaled term
-        return _vp(v, p) if padic else ((v & -v).bit_length() - 1) // b
-
-    grids = []  # the n x n scaled values of each term
+    grids = []  # the n x n scaled values of each term, row by row
     for k, c, X, Y in terms:
-        scale, ys = c * B ** (kmax - k), ints(Y[0])
-        grids.append([[scale * x * y for y in ys] for x in ints(X[0])])
+        scale, ys = c * B ** (kmax - k), ints(Y)
+        grids.append([scale * x * y for x in ints(X) for y in ys])
     if haar:
-        grids.append([[B ** (kmax - haar[0]) * z for z in row] for row in ints(haar[1][0])])
+        scale = B ** (kmax - haar[0])
+        grids.append([scale * z for z in ints(haar[1])])
+    mask = (1 << b * N) - 1
 
-    def entry(i, j):
-        parts = [g[i][j] for g in grids if g[i][j]]
+    def entry(cell):
+        parts = [x for x in cell if x]
         if not parts:
             return field.zero()
-        S, L = sum(parts), min(map(val, parts)) + N  # S is known mod B^L, L = A + kmax
+        # v, the least valuation (plus kmax) of a part: the sum is known on its N digits from v
+        S = sum(parts)
         if padic:
-            S %= p**L
-            lead = _vp(S, p) if S else L
-            unit = S // p**lead
+            v = min([_vp(x, p) for x in parts])
+            window = S // p**v % p**N
+            if window:
+                lead = _vp(window, p)
+                return FieldElement(field, v + lead - kmax, window // p**lead, N - lead)
         else:
-            digits = [(S >> (b * s)) % B % p for s in range(L)]
-            lead = next((s for s, d in enumerate(digits) if d), L)
-            unit = tuple(digits[lead:])
-        return FieldElement(field, L - kmax, None, 0) if lead == L else FieldElement(field, lead - kmax, unit, L - lead)
+            low = reduce(or_, parts)  # its lowest set bit is the lowest of any part
+            v = ((low & -low).bit_length() - 1) // b
+            digits = [d % p for d in _from_slots(S >> b * v & mask, slot, N)]
+            for lead, d in enumerate(digits):
+                if d:
+                    return FieldElement(field, v + lead - kmax, tuple(digits[lead:]), N - lead)
+        return FieldElement(field, v + N - kmax, None, 0)  # the sum cancels on its window
 
+    # entry e = i n + j; the symmetric family sums i <= j and mirrors
     symmetric = isinstance(param, OmegaParam)
-    upper = {(i, j): entry(i, j) for i in range(n) for j in range(i if symmetric else 0, n)}
-    return MatF(field, n, n, [upper[(j, i) if symmetric and j < i else (i, j)] for i in range(n) for j in range(n)])
+    cells = list(zip(*grids)) or [()] * (n * n)
+    upper = {e: entry(cells[e]) for e in range(n * n) if not symmetric or e // n <= e % n}
+    return MatF(field, n, n, [upper[e] if e in upper else upper[e % n * n + e // n] for e in range(n * n)])
 
 
 # ---------------------------------------------------------------------------

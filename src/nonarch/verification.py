@@ -157,10 +157,9 @@ def verify_ball_fourier(field: FieldParams):
 
 
 def _random_entry(field: FieldParams, rng: RandomStream) -> FieldElement:
-    g = rng.generator
-    if g.integers(10) == 0:
+    if rng.integers(10) == 0:
         return field.zero()
-    k = int(g.integers(-3, 4))
+    k = int(rng.integers(-3, 4))
     return sampling.uniform_integer(field, rng.child("u")).shift(k)
 
 
@@ -181,7 +180,7 @@ def verify_decompositions(field: FieldParams, rng: RandomStream, count: int = 10
     ok_rec = ok_gl = ok_sorted = True
     for i in range(count):
         sub = rng.child("snf", i)
-        n = int(sub.generator.integers(1, 6))
+        n = int(sub.integers(1, 6))
         A = _random_matrix(field, sub.child("mat"), n)
         res = smith_normal_form(A)
         ok_rec &= res.recompose().agrees(A)
@@ -194,7 +193,7 @@ def verify_decompositions(field: FieldParams, rng: RandomStream, count: int = 10
     ok_rec = ok_gl = ok_cls = True
     for i in range(count):
         sub = rng.child("sym", i)
-        n = int(sub.generator.integers(1, 6))
+        n = int(sub.integers(1, 6))
         A = _random_matrix(field, sub.child("mat"), n, symmetric=True)
         try:
             res = sym_diagonalize(A)
@@ -375,21 +374,19 @@ def verify_convergence(field: FieldParams, rng: RandomStream, n_samples: int = 1
 
 
 def _random_delta(rng: RandomStream) -> DeltaParam:
-    g = rng.generator
-    tail = None if g.integers(2) == 0 else int(g.integers(-3, 3))
+    tail = None if rng.integers(2) == 0 else int(rng.integers(-3, 3))
     low = -3 if tail is None else tail + 1
-    head = sorted((int(v) for v in g.integers(low, 6, size=int(g.integers(0, 4)))), reverse=True)
+    head = sorted((int(v) for v in rng.integers(low, 6, size=int(rng.integers(0, 4)))), reverse=True)
     return DeltaParam(tuple(head), tail)
 
 
 def _random_omega(rng: RandomStream) -> OmegaParam:
-    g = rng.generator
-    k = None if g.integers(2) == 0 else int(g.integers(-3, 4))
+    k = None if rng.integers(2) == 0 else int(rng.integers(-3, 4))
     low = (k + 1) if k is not None else -3
-    kk = tuple(sorted((int(v) for v in g.integers(low, 6, size=int(g.integers(0, 4)))), reverse=True))
+    kk = tuple(sorted((int(v) for v in rng.integers(low, 6, size=int(rng.integers(0, 4)))), reverse=True))
     pool = list(range(low, 6))
-    g.shuffle(pool)
-    take = int(g.integers(0, min(3, len(pool)) + 1))
+    rng.shuffle(pool)
+    take = int(rng.integers(0, min(3, len(pool)) + 1))
     kkp = tuple(sorted(pool[:take], reverse=True))
     return OmegaParam(k, kk, kkp)
 
@@ -422,8 +419,7 @@ def verify_uniqueness(field: FieldParams, rng: RandomStream):
     ok_idem = ok_pres = True
     for i in range(60):
         raw = _random_omega(rng.child("canon", i))
-        g = rng.child("noise", i).generator
-        extra = [int(v) for v in g.integers(-3, 6, size=2)]
+        extra = [int(v) for v in rng.child("noise", i).integers(-3, 6, size=2)]
         kk_raw = tuple(sorted(raw.kk + (extra[0],) * 2, reverse=True))
         kkp_raw = tuple(sorted(raw.kkp + (extra[1],), reverse=True))
         canon = canonicalize_omega(raw.k, kk_raw, kkp_raw)

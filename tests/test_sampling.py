@@ -1,8 +1,13 @@
 """Seeded sampling: determinism, Haar measure, measure-family corners,
 orbital pushes."""
 
+import hashlib
 import math
+import sys
+import threading
 from itertools import product
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +15,7 @@ from hypothesis import strategies as st
 
 from nonarch import orbital
 from nonarch.errors import DimensionMismatch, DyadicField, InsufficientPrecision, InvalidParam
-from nonarch.field import FieldParams
+from nonarch.field import FieldParams, _slot_layout
 from nonarch.characters import chi
 from nonarch.matrices import MatF, singular_numbers, sym_diagonalize
 from nonarch.orbital import (
@@ -34,6 +39,7 @@ from nonarch.sampling import (
     sample_corner,
     uniform_integer,
 )
+from corner_reference import sample_corner_reference
 from residue_reference import counting
 
 
@@ -60,6 +66,94 @@ def test_matrix_sampling_reproducible(q3):
 
 def test_distinct_seeds_differ(q3):
     assert haar_gl(RandomStream(1).child("g"), q3, 3) != haar_gl(RandomStream(2).child("g"), q3, 3)
+
+
+def _shuffled(stream):
+    pool = list(range(10))
+    stream.shuffle(pool)
+    return pool
+
+
+# interleaved calls on two streams: bounds below and above 2^32, scalar and
+# shaped sizes, and shuffles of a list
+_STREAM_SCRIPT = (
+    ("a", lambda s: s.integers(3)),
+    ("b", lambda s: s.integers(2**40, size=(2, 3))),
+    ("a", lambda s: s.integers(-5, 2**33, size=4)),
+    ("a", lambda s: s.integers(7, size=(3, 2))),
+    ("b", _shuffled),
+    ("b", lambda s: s.integers(3)),
+    ("a", lambda s: s.integers(2**63)),
+    ("a", _shuffled),
+    ("b", lambda s: s.integers(1, 6, size=5)),
+    ("a", lambda s: s.integers(2, size=7)),
+)
+
+
+def _run_script(streams):
+    """The script's draws on two RandomStreams, or on two numpy Generators."""
+    return [np.asarray(draw(streams[name])).tolist() for name, draw in _STREAM_SCRIPT]
+
+
+def _fresh_philox(seed, path):
+    digest = hashlib.blake2b(repr((seed, path)).encode(), digest_size=16).digest()
+    return np.random.Generator(np.random.Philox(key=np.frombuffer(digest, dtype=np.uint64)))
+
+
+def test_stream_draws_match_a_freshly_keyed_philox():
+    def streams(seed):
+        return {"a": RandomStream(seed).child("a"), "b": RandomStream(seed).child("b", 1)}
+
+    def reference(seed):
+        return _run_script({"a": _fresh_philox(seed, ("a",)), "b": _fresh_philox(seed, ("b", 1))})
+
+    assert _run_script(streams(11)) == reference(11)
+    # four threads at once, each on its own streams, switching often
+    results, expected = {}, {t: reference(100 + t) for t in range(4)}
+
+    def work(t):
+        results[t] = [_run_script(streams(100 + t)) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {t: [expected[t]] * 20 for t in range(4)}
+
+
+def test_philox_is_constructed_at_most_once_per_thread(monkeypatch, q3, l3):
+    # keying a stream loads its state into the thread's one generator
+    made, real = [], np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+
+    def work(done):
+        rng = RandomStream(3)
+        for i in range(150):
+            sample_corner(l3, DeltaParam((2, 1), -1), 3, rng.child("corner", i))
+        orbital.mc_orbital_multi(q3, KIND_TWO_SIDED, [1, 0], [[1]], 512, rng.child("mc"))
+        done.append(True)
+
+    done = []
+    worker = threading.Thread(target=work, args=(done,))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    work(done)
+    assert done == [True, True]
+    assert made.count(worker.ident) == 1
+    assert len(made) == len(set(made)) <= 2
 
 
 # -- uniform integers -----------------------------------------------------------
@@ -364,19 +458,22 @@ def _reference_corner(field, param, n, rng):
     return acc
 
 
+def _draw_param(draw, field):
+    """A valid parameter of either family (Delta only over a dyadic field)."""
+    ks = st.integers(-2, 3)
+    if field.is_dyadic or draw(st.booleans()):
+        head = tuple(sorted(draw(st.lists(ks, max_size=3)), reverse=True))
+        return DeltaParam(head, draw(st.none() | st.integers(-3, min(head, default=3) - 1)))
+    kk = tuple(sorted(draw(st.lists(ks, max_size=2)), reverse=True))
+    kkp = tuple(sorted(draw(st.sets(ks, max_size=2)), reverse=True))
+    return OmegaParam(draw(st.none() | st.integers(-3, min(kk + kkp, default=3) - 1)), kk, kkp)
+
+
 @st.composite
 def _corner_cases(draw):
     family, p = draw(st.sampled_from(["padic", "laurent"])), draw(st.sampled_from([3, 5]))
     field = FieldParams(family, p, draw(st.integers(2, 6)))
-    ks = st.integers(-2, 3)
-    if draw(st.booleans()):
-        head = tuple(sorted(draw(st.lists(ks, max_size=3)), reverse=True))
-        param = DeltaParam(head, draw(st.none() | st.integers(-3, min(head, default=3) - 1)))
-    else:
-        kk = tuple(sorted(draw(st.lists(ks, max_size=2)), reverse=True))
-        kkp = tuple(sorted(draw(st.sets(ks, max_size=2)), reverse=True))
-        param = OmegaParam(draw(st.none() | st.integers(-3, min(kk + kkp, default=3) - 1)), kk, kkp)
-    return field, param, draw(st.integers(1, 4)), RandomStream(draw(st.integers(0, 2**32)))
+    return field, _draw_param(draw, field), draw(st.integers(1, 4)), RandomStream(draw(st.integers(0, 2**32)))
 
 
 @settings(max_examples=200)
@@ -388,6 +485,39 @@ def test_corner_matches_term_by_term_accumulation(case):
     corner = sample_corner(field, param, n, rng)
     reference = _reference_corner(field, param, n, rng)
     assert [corner[i, j] for i, j in product(range(n), repeat=2)] == [e for row in reference for e in row]
+
+
+def _entry_triples(corner):
+    return [(e.ord, e.unit, e.rel) for e in corner.entries]
+
+
+@st.composite
+def _slot_cases(draw):
+    if draw(st.integers(0, 7)) == 0:  # 5^30 > 2^63: windows past int64
+        field = FieldParams("padic", 5, 30)
+    else:
+        family, p = draw(st.sampled_from(["padic", "laurent"])), draw(st.sampled_from([2, 3, 5, 7]))
+        field = FieldParams(family, p, draw(st.integers(1, 12)))
+    return field, _draw_param(draw, field), draw(st.integers(1, 4)), RandomStream(draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=300)
+@given(_slot_cases())
+def test_corner_matches_the_reference_assembly(case):
+    # precision 1 makes most sums vanish; each entry keeps ord, unit and rel
+    field, param, n, rng = case
+    assert _entry_triples(sample_corner(field, param, n, rng)) == _entry_triples(sample_corner_reference(field, param, n, rng))
+
+
+@pytest.mark.parametrize("param", [DeltaParam((2, 1, 0), -1), OmegaParam(-1, (1, 1), (0,))])
+def test_corner_slots_wider_than_a_machine_word(param):
+    # at p = 2^21 - 9 the slot sums of three rank-one terms and a tail need more than 64 bits
+    field = FieldParams("laurent", 2**21 - 9, 4)
+    assert _slot_layout((3 + 1) * field.precision * (field.p - 1) ** 3 + field.p)[0] is None
+    rng = RandomStream(79).child("wide slots")
+    corner = sample_corner(field, param, 3, rng)
+    assert _entry_triples(corner) == _entry_triples(sample_corner_reference(field, param, 3, rng))
+    assert any(e.rel == 4 for e in corner.entries)
 
 
 @pytest.mark.parametrize(
