@@ -18,9 +18,10 @@ leading digit, residue below ord 1, absolute value or square class) raises
 Storage and cost: a Q_p unit is an int below p^rel, so each operation is a
 few big-int operations.  An F_p((t)) unit is a tuple of rel digits; products
 go by Kronecker substitution (both tuples packed one digit per slot, the
-narrowest machine word holding precision*(p-1)^2, one big-int product, the
-low rel slots reduced mod p).  :class:`FieldParams` caches ``zero()``,
-``one()``, the powers of p and the residue square roots, filled on first use.
+narrowest machine word holding precision*(p-1)^2, else a wider run of
+bytes; one big-int product, the low rel slots reduced mod p).
+:class:`FieldParams` caches ``zero()``, ``one()``, the powers of p and the
+residue square roots, filled on first use.
 
 All values are immutable and hashable; operations are pure functions.
 """
@@ -144,8 +145,6 @@ class FieldParams:
             raise InvalidParam(f"residue characteristic must be prime, got {self.p}")
         if self.precision < 1:
             raise InvalidParam("precision must be >= 1")
-        if self.family == "laurent" and self.precision * (self.p - 1) ** 2 >= 2**64:
-            raise InvalidParam("F_p((t)) needs precision * (p-1)^2 < 2^64 (64-bit Kronecker slots)")
 
     # -- basic facts ------------------------------------------------------
     @property
@@ -181,7 +180,7 @@ class FieldParams:
         return tuple(self.p**k for k in range(self.precision + 1))
 
     @cached_property
-    def _slot(self) -> tuple[str, int]:
+    def _slot(self) -> tuple[str | None, int]:
         """The Kronecker slot of F_p((t)) products: a product coefficient
         sums at most precision terms below (p-1)^2."""
         return _slot_layout(self.precision * (self.p - 1) ** 2)

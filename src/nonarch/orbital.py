@@ -160,6 +160,8 @@ def invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
     (for square ones: are invertible mod p), by batched elimination.  The
     exact oracle filters residue rows with it; the tests check the sampler
     against it."""
+    if (p - 1) ** 2 >= 2**63:  # residue products in int64
+        raise TooLarge(f"p = {p} too large for int64 residue elimination")
     a = np.swapaxes(mats % p, 1, 2).astype(np.int64)  # full column rank of (n, r)
     B, _, r = a.shape
     alive = np.ones(B, dtype=bool)

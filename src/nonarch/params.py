@@ -152,8 +152,6 @@ def param_from_json(obj: dict):
 def validate(p) -> tuple[bool, str | None]:
     """Check the defining invariants; returns (ok, first violated clause)."""
     if isinstance(p, DeltaParam):
-        if not all(isinstance(k, int) for k in p.head):
-            return False, "head entries must be integers"
         if not _is_nonincreasing(p.head):
             return False, "head is not non-increasing"
         if p.tail is not None and p.head and p.head[-1] <= p.tail:

@@ -32,6 +32,7 @@ from operator import or_
 
 import numpy as np
 
+from .errors import TooLarge
 from .field import FieldElement, FieldParams, _from_slots, _rows_to_slots, _slot_layout, _vp
 from .matrices import MatF
 from .params import DeltaParam, OmegaParam, _require_valid
@@ -123,6 +124,8 @@ def _uniform_window(field: FieldParams, rng: RandomStream, K: int, size: tuple =
     base, tail = _entry_shape(field, K)
     if base <= 2**63:
         return rng.integers(base, size=size + tail)
+    if field.p > 2**63:
+        raise TooLarge(f"p = {field.p} too large for int64 digit draws")
     digits = rng.integers(field.p, size=size + (K,))
     return digits.astype(object) @ field.p ** np.arange(K, dtype=object)
 
@@ -159,6 +162,10 @@ def _haar_rows(stream: RandomStream, field: FieldParams, n: int, r: int, K: int,
     echelon basis mod p), so it does not depend on r.  Entries are int64,
     Python integers only when p^K exceeds the int64 range."""
     p = field.p
+    # residue products stay below (p-1)^2, and row k subtracts k of them from
+    # its draw before reducing mod p: int64 holds both while (r-1)(p-1)^2 < 2^63
+    if max(r - 1, 1) * (p - 1) ** 2 >= 2**63:
+        raise TooLarge(f"p = {p} too large for int64 residue elimination of {r} rows")
     base, tail = _entry_shape(field, K)
     rows = np.empty((r, count, n) + tail, dtype=np.int64 if base <= 2**63 else object)
     # echelon row t (mod p) is 0 at the pivots of rows < t; scale[t] inverts its own pivot entry

@@ -152,6 +152,13 @@ def test_sample_nu_requires_param(capsys):
     assert run(capsys, "sample", "--kind", "nu", "--n", "2")[0] == 1
 
 
+def test_haar_sample_past_int64_residues_is_one_error_line(capsys):
+    # (p-1)^2 >= 2^63: the residue elimination of a Haar draw would wrap in int64
+    code, out, err = run(capsys, "sample", "--kind", "haar", "--field", "padic:p=4294967311,prec=2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: TooLarge: ")
+
+
 def test_verify_quick_suites(capsys, tmp_path):
     out_file = tmp_path / "report.json"
     argv = [

@@ -277,8 +277,13 @@ def test_from_base_p_is_the_complete_digit_expansion(family):
 
 
 def test_laurent_product_slots_hold_every_coefficient_sum():
-    with pytest.raises(InvalidParam):
-        FieldParams("laurent", 4294967311, 2)  # 2 * (p-1)^2 >= 2^64
     f = FieldParams("laurent", 4294967291, 1)  # the widest 64-bit slot
     x = f.element(0, [f.p - 1])
     assert (x * x).digits == (1,)
+    # 12 (p-1)^2 >= 2^64: 9-byte slots; x = -(1 + t + ... + t^11) makes every
+    # coefficient sum of x^2 reach its bound, and x^2 = sum (k+1) t^k
+    f = FieldParams("laurent", 4294967311, 12)
+    assert f._slot == (None, 9)
+    x = f.element(0, [f.p - 1] * 12)
+    assert (x * x).digits == tuple(range(1, 13))
+    assert x * x.inverse() == f.one()

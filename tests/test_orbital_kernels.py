@@ -130,6 +130,30 @@ def test_echelon_check_accepts_what_invertible_mask_accepts(script):
     assert invertible_mask(res, field.p).all()
 
 
+def test_residue_elimination_refuses_products_past_int64():
+    # (p-1)^2 >= 2^63: an int64 echelon wraps and takes row 1 = 2 row 0 for
+    # an independent row
+    field = FieldParams("padic", 4294967311, 1)
+    row = np.array([[field.p - 1, field.p - 2]])
+    pair = [row, 2 * row % field.p]
+    with pytest.raises(TooLarge):
+        _haar_rows(ScriptedStream(pair, 1), field, 2, 2, 1, 1)
+    with pytest.raises(TooLarge):
+        invertible_mask(np.stack(pair, axis=1), field.p)
+
+
+def test_haar_rows_bound_the_products_a_row_subtracts():
+    # (p-1)^2 < 2^63 <= 2 (p-1)^2: two rows reduce in int64, while row 2
+    # subtracts two products before reducing, which wraps for some draws
+    field = FieldParams("padic", 2900000017, 1)
+    with pytest.raises(TooLarge):
+        _haar_rows(ScriptedStream([None] * 3, 1), field, 3, 3, 1, 1)
+    row = np.random.default_rng(3).integers(field.p, size=(50, 3))
+    first = [row, 2 * row % field.p]
+    rows = _haar_rows(ScriptedStream(first, 5), field, 3, 2, 1, 50)
+    assert np.array_equal(rows, ref_haar_rows(ScriptedStream(first, 5), field, 3, 2, 1, 50))
+
+
 # -- the fused phase kernel --------------------------------------------------------
 
 

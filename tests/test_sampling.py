@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonarch import orbital
-from nonarch.errors import DimensionMismatch, DyadicField, InsufficientPrecision, InvalidParam
+from nonarch.errors import DimensionMismatch, DyadicField, InsufficientPrecision, InvalidParam, TooLarge
 from nonarch.field import FieldParams, _slot_layout
 from nonarch.characters import chi
 from nonarch.matrices import MatF, singular_numbers, sym_diagonalize
@@ -39,7 +39,6 @@ from nonarch.sampling import (
     sample_corner,
     uniform_integer,
 )
-from corner_reference import sample_corner_reference
 from residue_reference import counting
 
 
@@ -178,6 +177,16 @@ def test_uniform_chi_average_vanishes(q3):
     for i in range(count):
         acc += chi(uniform_integer(q3, rng.child(i)).shift(shift))
     assert abs(acc / count) <= 3 / math.sqrt(count)
+
+
+@pytest.mark.parametrize("family", ["padic", "laurent"])
+def test_draws_refuse_residues_past_int64(family):
+    # p = 2^64 - 59 > 2^63: no int64 draw holds a digit
+    field = FieldParams(family, 2**64 - 59, 2)
+    with pytest.raises(TooLarge):
+        uniform_integer(field, RandomStream(1))
+    with pytest.raises(TooLarge):
+        haar_gl(RandomStream(1), field, 2)
 
 
 # -- Haar on GL -----------------------------------------------------------------
@@ -442,8 +451,9 @@ def test_batch_sampler_padic_draws_pinned(monkeypatch, q3):
 
 
 def _reference_corner(field, param, n, rng):
-    """The corner accumulated term by term in FieldElement arithmetic over
-    the variables the batched draw gives at count 1, window = precision."""
+    """The corner entries, row by row, accumulated term by term in
+    FieldElement arithmetic over the variables the batched draw gives at
+    count 1, window = precision."""
     terms, haar = _corner_draws(field, param, n, 1, field.precision, rng)
     acc = [[field.zero()] * n for _ in range(n)]
     for k, c, X, Y in terms:
@@ -455,7 +465,7 @@ def _reference_corner(field, param, n, rng):
         for i, j in product(range(n), repeat=2):
             a, b = sorted((i, j)) if isinstance(param, OmegaParam) else (i, j)
             acc[i][j] += _element(field, Z[0, a, b]).shift(-k)
-    return acc
+    return [e for row in acc for e in row]
 
 
 def _draw_param(draw, field):
@@ -471,28 +481,6 @@ def _draw_param(draw, field):
 
 @st.composite
 def _corner_cases(draw):
-    family, p = draw(st.sampled_from(["padic", "laurent"])), draw(st.sampled_from([3, 5]))
-    field = FieldParams(family, p, draw(st.integers(2, 6)))
-    return field, _draw_param(draw, field), draw(st.integers(1, 4)), RandomStream(draw(st.integers(0, 2**32)))
-
-
-@settings(max_examples=200)
-@given(_corner_cases())
-def test_corner_matches_term_by_term_accumulation(case):
-    # precision 2..6 makes zero windows and cancelled sums frequent; each
-    # entry must carry exactly the window a cancelling + certifies
-    field, param, n, rng = case
-    corner = sample_corner(field, param, n, rng)
-    reference = _reference_corner(field, param, n, rng)
-    assert [corner[i, j] for i, j in product(range(n), repeat=2)] == [e for row in reference for e in row]
-
-
-def _entry_triples(corner):
-    return [(e.ord, e.unit, e.rel) for e in corner.entries]
-
-
-@st.composite
-def _slot_cases(draw):
     if draw(st.integers(0, 7)) == 0:  # 5^30 > 2^63: windows past int64
         field = FieldParams("padic", 5, 30)
     else:
@@ -502,11 +490,14 @@ def _slot_cases(draw):
 
 
 @settings(max_examples=300)
-@given(_slot_cases())
-def test_corner_matches_the_reference_assembly(case):
-    # precision 1 makes most sums vanish; each entry keeps ord, unit and rel
+@given(_corner_cases())
+def test_corner_matches_term_by_term_accumulation(case):
+    # low precision makes zero windows and cancelled sums frequent (most
+    # sums vanish at precision 1); each entry must carry exactly the window
+    # a cancelling + certifies
     field, param, n, rng = case
-    assert _entry_triples(sample_corner(field, param, n, rng)) == _entry_triples(sample_corner_reference(field, param, n, rng))
+    corner = sample_corner(field, param, n, rng)
+    assert list(corner.entries) == _reference_corner(field, param, n, rng)
 
 
 @pytest.mark.parametrize("param", [DeltaParam((2, 1, 0), -1), OmegaParam(-1, (1, 1), (0,))])
@@ -516,7 +507,7 @@ def test_corner_slots_wider_than_a_machine_word(param):
     assert _slot_layout((3 + 1) * field.precision * (field.p - 1) ** 3 + field.p)[0] is None
     rng = RandomStream(79).child("wide slots")
     corner = sample_corner(field, param, 3, rng)
-    assert _entry_triples(corner) == _entry_triples(sample_corner_reference(field, param, 3, rng))
+    assert list(corner.entries) == _reference_corner(field, param, 3, rng)
     assert any(e.rel == 4 for e in corner.entries)
 
 
@@ -575,7 +566,7 @@ def test_corner_beyond_int64_windows():
     for param in (DeltaParam((2, 1), -1), OmegaParam(-1, (1,), (0,))):
         stream = rng.child(repr(param))
         corner = sample_corner(field, param, 3, stream)
-        assert list(corner.entries) == [e for row in _reference_corner(field, param, 3, stream) for e in row]
+        assert list(corner.entries) == _reference_corner(field, param, 3, stream)
         assert all(e.is_zero() or e.ord >= -2 for e in corner.entries)
         assert max(e.rel for e in corner.entries) == 30
 
