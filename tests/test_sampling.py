@@ -479,25 +479,36 @@ def _draw_param(draw, field):
     return OmegaParam(draw(st.none() | st.integers(-3, min(kk + kkp, default=3) - 1)), kk, kkp)
 
 
+_SMALL_FIELDS = st.builds(FieldParams, st.sampled_from(["padic", "laurent"]), st.sampled_from([2, 3, 5, 7]), st.integers(1, 12))
+
+
 @st.composite
-def _corner_cases(draw):
-    if draw(st.integers(0, 7)) == 0:  # 5^30 > 2^63: windows past int64
-        field = FieldParams("padic", 5, 30)
-    else:
-        family, p = draw(st.sampled_from(["padic", "laurent"])), draw(st.sampled_from([2, 3, 5, 7]))
-        field = FieldParams(family, p, draw(st.integers(1, 12)))
+def _corner_cases(draw, fields):
+    field = draw(fields)
     return field, _draw_param(draw, field), draw(st.integers(1, 4)), RandomStream(draw(st.integers(0, 2**32)))
 
 
-@settings(max_examples=300)
-@given(_corner_cases())
+def _check_corner(case):
+    field, param, n, rng = case
+    corner = sample_corner(field, param, n, rng)
+    assert list(corner.entries) == _reference_corner(field, param, n, rng)
+
+
+@settings(max_examples=250)
+@given(_corner_cases(_SMALL_FIELDS))
 def test_corner_matches_term_by_term_accumulation(case):
     # low precision makes zero windows and cancelled sums frequent (most
     # sums vanish at precision 1); each entry must carry exactly the window
     # a cancelling + certifies
-    field, param, n, rng = case
-    corner = sample_corner(field, param, n, rng)
-    assert list(corner.entries) == _reference_corner(field, param, n, rng)
+    _check_corner(case)
+
+
+@settings(max_examples=50)
+@given(_corner_cases(st.just(FieldParams("padic", 5, 30))))
+def test_corner_matches_the_reference_assembly(case):
+    # 5^30 > 2^63: the slot assembly reads windows past int64, checked
+    # against the same term-by-term reference
+    _check_corner(case)
 
 
 @pytest.mark.parametrize("param", [DeltaParam((2, 1, 0), -1), OmegaParam(-1, (1, 1), (0,))])
