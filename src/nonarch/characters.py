@@ -115,11 +115,8 @@ def chi(x: FieldElement) -> complex:
         )
     p = x.params.p
     if x.params.family == "padic":
-        m = p**ell
-        frac = (x.unit % m) / m
-        return cmath.exp(2j * cmath.pi * frac)
-    c = x.digits[ell - 1]  # coefficient of t^-1
-    return cmath.exp(2j * cmath.pi * c / p)
+        return cmath.exp(2j * cmath.pi * ((x.unit % p**ell) / p**ell))
+    return cmath.exp(2j * cmath.pi * x.digits[ell - 1] / p)  # the coefficient of t^-1
 
 
 # ---------------------------------------------------------------------------

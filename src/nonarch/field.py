@@ -15,13 +15,12 @@ nothing is ever silently padded.  Reading a digit of O(pi^g) (its inverse,
 leading digit, residue below ord 1, absolute value or square class) raises
 :class:`PrecisionExhausted` carrying g.
 
-Storage and cost: a Q_p unit is an int below p^rel, so each operation is a
-few big-int operations.  An F_p((t)) unit is a tuple of rel digits; products
-go by Kronecker substitution (both tuples packed one digit per slot, the
-narrowest machine word holding precision*(p-1)^2, else a wider run of
-bytes; one big-int product, the low rel slots reduced mod p).
-:class:`FieldParams` caches ``zero()``, ``one()``, the powers of p and the
-residue square roots, filled on first use.
+Storage and cost: a unit with digits d_0..d_{rel-1} is the integer
+sum d_i D^i: D = p over Q_p; over F_p((t)), D = 2^(8 * slot bytes), one
+Kronecker slot per digit, wide enough that no coefficient sum of a product
+carries.  Both families add, negate and multiply by the same few big-int
+operations, F_p((t)) then reducing each slot mod p.  :class:`FieldParams`
+caches ``zero()``, ``one()``, the powers of D and the residue square roots.
 
 All values are immutable and hashable; operations are pure functions.
 """
@@ -33,8 +32,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, partial
 
 from .errors import (
     DivisionByZero,
@@ -116,11 +114,11 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return x
 
 
-def _base_p_digits(n: int, p: int, count: int) -> tuple[int, ...]:
-    """The lowest ``count`` base-p digits of n >= 0."""
+def _base_digits(n: int, base: int, count: int) -> tuple[int, ...]:
+    """The lowest ``count`` digits of n >= 0 in the given base."""
     out = []
     for _ in range(count):
-        n, d = divmod(n, p)
+        n, d = divmod(n, base)
         out.append(d)
     return tuple(out)
 
@@ -175,15 +173,27 @@ class FieldParams:
         return self.from_base_p(1)
 
     @cached_property
-    def _pow_p(self) -> tuple[int, ...]:
-        """(p^0, p^1, ..., p^precision)."""
-        return tuple(self.p**k for k in range(self.precision + 1))
+    def _ring(self) -> tuple:
+        """(pows, negs, reduce) of the unit integers sum d_i D^i: pows[k] = D^k,
+        negs[k] - u = -u mod pi^k, and ``reduce(s, n)`` is :func:`_reduce_slots`
+        (n = 1 after a sum) over F_p((t)), None over Q_p, where D = p."""
+        p, top = self.p, range(self.precision + 1)
+        if self.family == "padic":
+            pows = tuple(p**k for k in top)
+            return pows, pows, None
+        b, bound = 8 * self._slot[1], self.precision * (p - 1) ** 2
+        pows = tuple(1 << b * k for k in top)
+        ones = (pows[-1] - 1) // (pows[1] - 1)  # 1 in every slot
+        # D/2 - p 2^j in every slot: adding it sets the free top bit of each slot holding p 2^j or more
+        lifts = tuple((ones << b - 1) - (p << j) * ones for j in range(max(1, (bound // p).bit_length())))
+        return pows, tuple(p * (ones % P) for P in pows), partial(_reduce_slots, p, b, ones, lifts)
 
     @cached_property
     def _slot(self) -> tuple[str | None, int]:
-        """The Kronecker slot of F_p((t)) products: a product coefficient
-        sums at most precision terms below (p-1)^2."""
-        return _slot_layout(self.precision * (self.p - 1) ** 2)
+        """The Kronecker slot of one F_p((t)) unit digit: a product coefficient,
+        at most precision terms below (p-1)^2, stays below the top bit, which
+        is left free for ``_ring``'s reduction."""
+        return _slot_layout(2 * self.precision * (self.p - 1) ** 2)
 
     @cached_property
     def _residue_sqrts(self) -> dict[int, int]:
@@ -212,15 +222,24 @@ class FieldParams:
         if n == 0:
             return self._zero
         v = _vp(n, self.p)
-        unit = (n // self.p**v) % self._pow_p[self.precision]
+        unit = n // self.p**v % self.p**self.precision
         if self.family == "laurent":
-            unit = _base_p_digits(unit, self.p, self.precision)
+            unit = _to_slots(_base_digits(unit, self.p, self.precision), self._slot)
         return FieldElement(self, ord + v, unit, self.precision)
 
     def element(self, ord: int, digits) -> "FieldElement":
         """Element pi^ord * (d_0 + d_1 pi + ...) from an explicit digit list,
         taken to be the complete expansion (missing digits are zero)."""
         return self.from_base_p(sum(int(d) % self.p * self.p**i for i, d in enumerate(digits)), ord)
+
+    def _window_element(self, ord: int, s: int, w: int) -> "FieldElement":
+        """pi^ord * s for a unit integer s of w digits, its low zero digits
+        moved into the valuation; O(pi^(ord + w)) when s = 0."""
+        if s == 0:
+            return FieldElement(self, ord + w, None, 0)
+        pows = self._ring[0]
+        t = _vp(s, pows[1])
+        return FieldElement(self, ord + t, s // pows[t], w - t)
 
     def eps(self) -> "FieldElement":
         """The fixed nonsquare unit: lift of the smallest nonsquare residue."""
@@ -277,27 +296,21 @@ class FieldElement:
     @property
     def digits(self) -> tuple[int, ...]:
         """Known digits d_0..d_{rel-1} of the unit part (d_0 != 0)."""
-        if self.is_zero() or self.is_vanishing():
-            return ()
-        if self.params.family == "padic":
-            return _base_p_digits(self.unit, self.params.p, self.rel)
-        return self.unit
+        return () if self.unit is None else _base_digits(self.unit, self.params._ring[0][1], self.rel)
 
     def leading_digit(self) -> int:
         if self.is_zero():
             raise DivisionByZero("zero has no leading digit")
         if self.is_vanishing():
             raise PrecisionExhausted("no digit of a vanishing value is known", guaranteed_ord=self.ord)
-        return self.unit % self.params.p if self.params.family == "padic" else self.unit[0]
+        return self.unit % self.params._ring[0][1]
 
     def _truncate_abs(self, new_abs: int) -> "FieldElement":
         """Forget digits at or beyond position new_abs (requires ord < new_abs)."""
         if new_abs >= self.abs_prec:
             return self
         rel = new_abs - self.ord
-        if self.params.family == "padic":
-            return FieldElement(self.params, self.ord, self.unit % self.params._pow_p[rel], rel)
-        return FieldElement(self.params, self.ord, self.unit[:rel], rel)
+        return FieldElement(self.params, self.ord, self.unit % self.params._ring[0][rel], rel)
 
     def _check_same(self, other: "FieldElement"):
         if not isinstance(other, FieldElement) or (other.params is not self.params and other.params != self.params):
@@ -306,12 +319,7 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return (
-            self.params == other.params
-            and self.ord == other.ord
-            and self.rel == other.rel
-            and self.unit == other.unit
-        )
+        return (self.params, self.ord, self.rel, self.unit) == (other.params, other.ord, other.rel, other.unit)
 
     def __hash__(self):
         return hash((self.params, self.ord, self.rel, self.unit))
@@ -341,28 +349,19 @@ class FieldElement:
         lo, hi = (self, other) if self.ord <= other.ord else (other, self)
         v, off = lo.ord, hi.ord - lo.ord
         w = min(lo.rel, off + hi.rel)  # known digits of the sum above pi^v
-        p = prm.p
-        if prm.family == "padic":
-            s = (lo.unit + hi.unit * prm._pow_p[off]) % prm._pow_p[w] if off < w else lo.unit
-            if s == 0:
-                return FieldElement(prm, v + w, None, 0)
-            t = _vp(s, p)
-            return FieldElement(prm, v + t, s // prm._pow_p[t], w - t)
-        coeffs = lo.unit[:off] + tuple([(a + b) % p for a, b in zip(lo.unit[off:w], hi.unit)])
-        if off:
-            return FieldElement(prm, v, coeffs, w)
-        lead = next((i for i, c in enumerate(coeffs) if c != 0), None)
-        if lead is None:
-            return FieldElement(prm, v + w, None, 0)
-        return FieldElement(prm, v + lead, coeffs[lead:], w - lead)
+        if off >= w:  # then w = lo.rel: hi lies wholly below lo's window
+            return lo
+        pows, _, reduce = prm._ring
+        s = (lo.unit + hi.unit * pows[off]) % pows[w]
+        return prm._window_element(v, reduce(s, 1) if reduce else s, w)
 
     def __neg__(self) -> "FieldElement":
         if self.unit is None:
             return self
-        prm, p = self.params, self.params.p
-        if prm.family == "padic":
-            return FieldElement(prm, self.ord, prm._pow_p[self.rel] - self.unit, self.rel)
-        return FieldElement(prm, self.ord, tuple([(-c) % p for c in self.unit]), self.rel)
+        prm, rel = self.params, self.rel
+        _, negs, reduce = prm._ring
+        unit = negs[rel] - self.unit
+        return FieldElement(prm, self.ord, reduce(unit, 1) if reduce else unit, rel)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
@@ -375,25 +374,23 @@ class FieldElement:
                 return prm._zero
             return FieldElement(prm, self.ord + other.ord, None, 0)
         rel = min(self.rel, other.rel)
-        if prm.family == "padic":
-            return FieldElement(prm, self.ord + other.ord, self.unit * other.unit % prm._pow_p[rel], rel)
-        return FieldElement(prm, self.ord + other.ord, _kronecker_mul(self.unit, other.unit, rel, prm), rel)
+        pows, _, reduce = prm._ring
+        unit = self.unit * other.unit % pows[rel]
+        return FieldElement(prm, self.ord + other.ord, reduce(unit) if reduce else unit, rel)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("cannot invert 0")
         if self.is_vanishing():
             raise PrecisionExhausted("cannot invert a value not distinguishable from 0", guaranteed_ord=self.ord)
-        prm = self.params
+        prm, rel = self.params, self.rel
         if prm.family == "padic":
-            unit = pow(self.unit, -1, prm._pow_p[self.rel])
-            return FieldElement(prm, -self.ord, unit, self.rel)
-        p, u = prm.p, self.unit
-        inv0 = pow(u[0], p - 2, p)
-        out = [inv0]
-        for k in range(1, self.rel):  # out[k] = -inv0 * sum_{i=1..k} u[i] out[k-i]
-            out.append(-inv0 * sum(map(mul, u[k:0:-1], out)) % p)
-        return FieldElement(prm, -self.ord, tuple(out), self.rel)
+            return FieldElement(prm, -self.ord, pow(self.unit, -1, prm._ring[0][rel]), rel)
+        p, u, pows = prm.p, self.unit, prm._ring[0]
+        out = inv0 = pow(u % pows[1], p - 2, p)
+        for k in range(1, rel):  # digit k of out: -inv0 * (slot k of u * out, digits below k)
+            out += -inv0 * (u * out // pows[k] % pows[1]) % p * pows[k]
+        return FieldElement(prm, -self.ord, out, rel)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -455,6 +452,13 @@ class FieldElement:
 _set_params, _set_ord, _set_unit, _set_rel = (getattr(FieldElement, n).__set__ for n in FieldElement.__slots__)
 
 
+def _reduce_slots(p: int, b: int, ones: int, lifts: tuple, s: int, n: int | None = None) -> int:
+    """s with each b-bit slot, below p 2^n (n = len(lifts) if None), reduced mod p."""
+    for j in reversed(range(len(lifts) if n is None else n)):  # each slot below p 2^(j+1): take p 2^j off where it fits
+        s -= ((s + lifts[j]) >> b - 1 & ones) * (p << j)
+    return s
+
+
 def _slot_layout(bound: int) -> tuple[str | None, int]:
     """(array typecode, bytes) of the narrowest Kronecker slot holding every
     integer below ``bound``: a machine word, else (None, bytes) for a slot
@@ -467,7 +471,7 @@ def _slot_layout(bound: int) -> tuple[str | None, int]:
 
 def _to_slots(digits, slot: tuple[str | None, int]) -> int:
     """The integer holding digits[s] in slot s of :func:`_slot_layout`
-    (native byte order, slot 0 lowest)."""
+    (native byte order, slot 0 lowest), for a list or tuple of digits."""
     code, width = slot
     if code is None:
         return int.from_bytes(b"".join([int(d).to_bytes(width, sys.byteorder) for d in digits]), sys.byteorder)
@@ -491,16 +495,6 @@ def _from_slots(value: int, slot: tuple[str | None, int], count: int):
     if code is None:
         return [int.from_bytes(raw[i : i + width], sys.byteorder) for i in range(0, len(raw), width)]
     return memoryview(raw).cast(code)
-
-
-def _kronecker_mul(a: tuple, b: tuple, rel: int, params: FieldParams) -> tuple:
-    """Low ``rel`` coefficients of the product of two F_p[t] digit windows by
-    Kronecker substitution: each window becomes one integer with a
-    coefficient per slot, one big-int product convolves them, and the
-    slots, wide enough that no coefficient sum carries, are reduced mod p."""
-    slot, p = params._slot, params.p
-    product = _to_slots(a, slot) * _to_slots(b, slot)
-    return tuple([c % p for c in _from_slots(product, slot, len(a) + len(b))[:rel]])
 
 
 def _require_resolved(x: FieldElement, what: str):
@@ -544,20 +538,19 @@ def hensel_sqrt(x: FieldElement) -> FieldElement | None:
     a0 = x.leading_digit()
     if legendre(a0, p) != 1:
         return None
-    rel, u = x.rel, x.unit
+    rel, u, pows = x.rel, x.unit, prm._ring[0]
+    root = _canonical_residue_sqrt(prm, a0)
     if prm.family == "padic":
-        root = _canonical_residue_sqrt(prm, a0)
         known = 1
         while known < rel:
             known = min(2 * known, rel)
-            m = prm._pow_p[known]
+            m = pows[known]
             root = (root + (u % m) * pow(root, -1, m)) * pow(2, -1, m) % m
-        return FieldElement(prm, x.ord // 2, root, rel)
-    root = [_canonical_residue_sqrt(prm, a0)]
-    inv = pow(2 * root[0], -1, p)
-    for k in range(1, rel):
-        root.append((u[k] - sum(map(mul, root[1:k], root[k - 1 : 0 : -1]))) * inv % p)
-    return FieldElement(prm, x.ord // 2, tuple(root), rel)
+    else:
+        inv = pow(2 * root, -1, p)
+        for k in range(1, rel):  # slot k of root * root sums r_i r_(k-i) over 0 < i < k
+            root += (u // pows[k] % pows[1] - root * root // pows[k] % pows[1]) * inv % p * pows[k]
+    return FieldElement(prm, x.ord // 2, root, rel)
 
 
 def square_class(x: FieldElement) -> tuple[FieldElement, FieldElement]:

@@ -140,10 +140,7 @@ def _pair_data(field: FieldParams, D, A):
             m = -prod.ord
             if prod.rel < m:
                 raise InsufficientPrecision(f"argument product stores {prod.rel} digits; chi needs {m}")
-            if field.family == "padic":
-                unit = prod.unit % field.p**m
-            else:
-                unit = tuple(prod.digits[:m])
+            unit = prod.unit % field.p**m if field.family == "padic" else prod.digits[:m]
             pairs.append((i, j, m, unit))
             K = max(K, m)
     _check_window(field, K)

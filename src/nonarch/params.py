@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 from .characters import KIND_SQUARE, CharValue, charvalue_product, theta_closed
@@ -35,10 +36,17 @@ def _is_strictly_decreasing(xs: Sequence[int]) -> bool:
     return all(a > b for a, b in zip(xs, xs[1:]))
 
 
-def _json_ints(obj: dict, key: str) -> tuple:
-    """The integer list ``obj[key]`` (empty when absent), else InvalidParam."""
+def _int(x, what: str) -> int:
+    """x as an int, else InvalidParam: numpy integers pass, bool does not."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise InvalidParam(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _json_list(obj: dict, key: str) -> tuple:
+    """The list ``obj[key]`` (empty when absent), entries checked by _int."""
     v = obj.get(key, [])
-    if not isinstance(v, list) or not all(type(x) is int for x in v):
+    if not isinstance(v, list):
         raise InvalidParam(f"{key} must be a list of integers, got {v!r}")
     return tuple(v)
 
@@ -53,8 +61,9 @@ class DeltaParam:
     tail: int | None = None
 
     def __post_init__(self):
-        head = tuple(int(k) for k in self.head)
+        head = tuple(_int(k, "head entry") for k in self.head)
         if self.tail is not None:
+            object.__setattr__(self, "tail", _int(self.tail, "tail"))
             head = tuple(k for k in head if k != self.tail)
         object.__setattr__(self, "head", head)
 
@@ -86,9 +95,9 @@ class DeltaParam:
     @classmethod
     def from_json(cls, obj: dict) -> "DeltaParam":
         tail = obj.get("tail", "neginf")
-        if tail != "neginf" and not (isinstance(tail, dict) and type(tail.get("const")) is int):
+        if tail != "neginf" and not (isinstance(tail, dict) and "const" in tail):
             raise InvalidParam(f'tail must be "neginf" or {{"const": int}}, got {tail!r}')
-        return cls(_json_ints(obj, "head"), None if tail == "neginf" else tail["const"])
+        return cls(_json_list(obj, "head"), None if tail == "neginf" else _int(tail["const"], "tail"))
 
 
 @dataclass(frozen=True)
@@ -101,8 +110,10 @@ class OmegaParam:
     kkp: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "kk", tuple(int(v) for v in self.kk))
-        object.__setattr__(self, "kkp", tuple(int(v) for v in self.kkp))
+        if self.k is not None:
+            object.__setattr__(self, "k", _int(self.k, "k"))
+        object.__setattr__(self, "kk", tuple(_int(v, "kk entry") for v in self.kk))
+        object.__setattr__(self, "kkp", tuple(_int(v, "kkp entry") for v in self.kkp))
 
     # -- characteristic function ----------------------------------------------
     def char_single(self, x: FieldElement) -> CharValue:
@@ -128,9 +139,7 @@ class OmegaParam:
     @classmethod
     def from_json(cls, obj: dict) -> "OmegaParam":
         k = obj.get("k", "neginf")
-        if k != "neginf" and type(k) is not int:
-            raise InvalidParam(f'k must be "neginf" or an integer, got {k!r}')
-        return cls(None if k == "neginf" else k, _json_ints(obj, "kk"), _json_ints(obj, "kkp"))
+        return cls(None if k == "neginf" else _int(k, "k"), _json_list(obj, "kk"), _json_list(obj, "kkp"))
 
 
 def param_from_json(obj: dict):

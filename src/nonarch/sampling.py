@@ -25,6 +25,7 @@ its coefficients.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import threading
 from functools import reduce
@@ -33,7 +34,7 @@ from operator import or_
 import numpy as np
 
 from .errors import TooLarge
-from .field import FieldElement, FieldParams, _from_slots, _rows_to_slots, _slot_layout, _vp
+from .field import FieldElement, FieldParams, _from_slots, _rows_to_slots, _slot_layout, _to_slots, _vp
 from .matrices import MatF
 from .params import DeltaParam, OmegaParam, _require_valid
 
@@ -132,8 +133,13 @@ def _uniform_window(field: FieldParams, rng: RandomStream, K: int, size: tuple =
 
 def _element(field: FieldParams, v) -> FieldElement:
     """One drawn entry mod pi^precision (an integer over Q_p, its digits over
-    F_p((t))) as a FieldElement; the all-zero window is the exact zero."""
-    return field.from_base_p(int(v)) if field.family == "padic" else field.element(0, v)
+    F_p((t))) as the element it expands to; the all-zero window is the exact zero."""
+    s = int(v) if field.family == "padic" else _to_slots(list(v), field._slot)
+    if s == 0:
+        return field.zero()
+    pows = field._ring[0]
+    t = _vp(s, pows[1])
+    return FieldElement(field, t, s // pows[t], field.precision)  # all precision digits drawn
 
 
 def uniform_integer(params: FieldParams, rng: RandomStream) -> FieldElement:
@@ -260,7 +266,8 @@ def sample_corner(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
     entry is summed as an exact integer, all terms scaled by pi^kmax: over
     Q_p the values themselves (base B = p), over F_p((t)) one digit per
     Kronecker slot of ``field._slot_layout`` (B = 2^(8 * slot bytes)), wide
-    enough that no digit sum carries, reduced mod p slot by slot.
+    enough that no digit sum carries, reduced mod p slot by slot into the
+    field's own unit slots.
     """
     p, N, padic = field.p, field.precision, field.family == "padic"
     terms, haar = _corner_draws(field, param, n, 1, N, rng)
@@ -282,31 +289,28 @@ def sample_corner(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
         grids.append([scale * z for z in ints(haar[1])])
     mask = (1 << b * N) - 1
 
-    def entry(cell):
+    def window(cell):
+        """(v, the N digits of the sum from pi^v), v the least valuation (+ kmax) of a part."""
         parts = [x for x in cell if x]
-        if not parts:
-            return field.zero()
-        # v, the least valuation (plus kmax) of a part: the sum is known on its N digits from v
         S = sum(parts)
         if padic:
-            v = min([_vp(x, p) for x in parts])
-            window = S // p**v % p**N
-            if window:
-                lead = _vp(window, p)
-                return FieldElement(field, v + lead - kmax, window // p**lead, N - lead)
-        else:
-            low = reduce(or_, parts)  # its lowest set bit is the lowest of any part
-            v = ((low & -low).bit_length() - 1) // b
-            digits = [d % p for d in _from_slots(S >> b * v & mask, slot, N)]
-            for lead, d in enumerate(digits):
-                if d:
-                    return FieldElement(field, v + lead - kmax, tuple(digits[lead:]), N - lead)
-        return FieldElement(field, v + N - kmax, None, 0)  # the sum cancels on its window
+            v = _vp(math.gcd(*parts), p)
+            return v, S // p**v % p**N
+        low = reduce(or_, parts)  # its lowest set bit is the lowest of any part
+        v = ((low & -low).bit_length() - 1) // b
+        return v, S >> b * v & mask
 
     # entry e = i n + j; the symmetric family sums i <= j and mirrors
     symmetric = isinstance(param, OmegaParam)
     cells = list(zip(*grids)) or [()] * (n * n)
-    upper = {e: entry(cells[e]) for e in range(n * n) if not symmetric or e // n <= e % n}
+    upper = dict.fromkeys([e for e in range(n * n) if not symmetric or e // n <= e % n], field.zero())
+    sums = {e: window(cells[e]) for e in upper if any(cells[e])}  # every part zero: the exact zero
+    units = [s for _, s in sums.values()]
+    if not padic and units:  # every slot mod p, into the field's unit slots
+        joined = _to_slots(units, (None, slot[1] * N))  # the windows side by side
+        units = _rows_to_slots(np.asarray(_from_slots(joined, slot, N * len(units))).reshape(-1, N) % p, field._slot)
+    for (e, (v, _)), s in zip(sums.items(), units):  # O(pi^(v + N - kmax)) when the sum cancels
+        upper[e] = field._window_element(v - kmax, s, N)
     return MatF(field, n, n, [upper[e] if e in upper else upper[e % n * n + e // n] for e in range(n * n)])
 
 

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nonarch.cli import main
 from nonarch.matrices import MatF
@@ -217,6 +219,26 @@ def test_verify_statistical_reports_pinned(capsys, tmp_path, spec, expected):
     code, _, _ = run(capsys, *argv, "--field", spec, "--out", str(out_file))
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == expected
+
+
+# every suite but decompositions, which pins its own fields
+VERIFY_SUITES = ("identities", "bounds", "charfun", "converge", "uniqueness", "semigroup")
+
+
+@settings(max_examples=8)
+@example("laurent", 7, 20, 1)  # two-byte Kronecker slots through every suite
+@given(
+    st.sampled_from(("padic", "laurent")),
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(3, 20),
+    st.integers(0, 2**64 - 1),
+)
+def test_verify_fails_cleanly_on_any_field(family, p, prec, seed):
+    """On any field, a suite that cannot run reports a failing row (exit 2);
+    no error escapes as exit 1 or as a traceback."""
+    field = f"{family}:p={p},prec={prec}"
+    argv = ["verify", *VERIFY_SUITES, "--field", field, "--seed", str(seed), "--samples", "100", "--trials", "1"]
+    assert main([*argv, "--out", os.devnull]) in (0, 2)
 
 
 def test_verify_csv_format(capsys, tmp_path):

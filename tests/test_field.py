@@ -276,6 +276,19 @@ def test_from_base_p_is_the_complete_digit_expansion(family):
     assert f.from_base_p(-1) == f.element(0, [2] * 4)
 
 
+@pytest.mark.parametrize("p, prec", [(3, 60), (5, 9), (7, 20), (3037000493, 1)])
+def test_laurent_reduction_of_largest_products(p, prec):
+    """x = -(1 + t + ... + t^(prec-1)) makes every slot of x^2 reach
+    prec (p-1)^2 before it is reduced mod p; at F_3((t)) precision 60 that
+    bound, 240, would fill a one-byte slot up to its top bit.  p = 3037000493
+    is the largest prime whose 64-bit slots keep a free top bit above it."""
+    f = FieldParams("laurent", p, prec)
+    x = f.element(0, [p - 1] * prec)
+    assert (x * x).digits == tuple((k + 1) % p for k in range(prec))
+    assert (x + x).digits == (p - 2,) * prec and (-x).digits == (1,) * prec
+    assert x * x.inverse() == f.one()
+
+
 def test_laurent_product_slots_hold_every_coefficient_sum():
     f = FieldParams("laurent", 4294967291, 1)  # the widest 64-bit slot
     x = f.element(0, [f.p - 1])

@@ -7,7 +7,8 @@ An element is modelled as ("zero",), ("vanish", g) for the certified
 vanishing value O(pi^g), or ("val", ord, unit, rel) with the unit an int below
 p^rel (Q_p) or a tuple of rel digits (F_p((t))).  A sum that cancels its whole
 window is ("vanish", top) for the top of the window; an operation that raises
-is ("exhausted", guaranteed_ord) or ("div0",).
+is ("exhausted", guaranteed_ord) or ("div0",).  Elements enter and leave the
+model through their digits, whatever integer the library stores.
 """
 
 import pytest
@@ -49,7 +50,7 @@ def model(x: FieldElement):
         return ("zero",)
     if x.is_vanishing():
         return ("vanish", x.ord)
-    return ("val", x.ord, x.unit, x.rel)
+    return ("val", x.ord, unit_of(x.params, x.digits), x.rel)
 
 
 def build(field, m) -> FieldElement:
@@ -57,7 +58,10 @@ def build(field, m) -> FieldElement:
         return FieldElement(field, ORD_INF, None, 0)
     if m[0] == "vanish":
         return FieldElement(field, m[1], None, 0)
-    return FieldElement(field, m[1], m[2], m[3])
+    _, o, unit, rel = m
+    x = field.element(o, digits_of(field, unit, rel))._truncate_abs(o + rel)
+    assert model(x) == m
+    return x
 
 
 def outcome(fn, *args):

@@ -1,5 +1,6 @@
 """Parameter spaces, characteristic functions, semigroup, uniqueness."""
 
+import numpy as np
 import pytest
 
 from nonarch.characters import CharValue
@@ -39,6 +40,34 @@ def test_head_absorbs_constant_tail_entries():
     assert p.entry(1) == 3 and p.entry(2) == 0 and p.entry(100) == 0
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DeltaParam((1.5, 0.9), None),
+        lambda: DeltaParam((True, 0)),
+        lambda: DeltaParam((3,), 0.5),
+        lambda: DeltaParam((3,), False),
+        lambda: OmegaParam(0.5, (1,), ()),
+        lambda: OmegaParam(None, (2.0,), ()),
+        lambda: OmegaParam(None, (), (np.bool_(True),)),
+    ],
+    ids=["float-head", "bool-head", "float-tail", "bool-tail", "float-k", "float-kk", "numpy-bool-kkp"],
+)
+def test_non_integer_parameter_entries_are_invalid(build):
+    """A float or bool entry, tail or k would be rounded or read as 0/1 and
+    describe another measure; the constructor refuses it."""
+    with pytest.raises(InvalidParam):
+        build()
+
+
+def test_numpy_integer_entries_become_ints():
+    d = DeltaParam((np.int64(3), np.int32(2)), np.int64(0))
+    o = OmegaParam(np.int64(-1), (np.int16(2),), (np.uint8(1),))
+    assert d == DeltaParam((3, 2), 0) and o == OmegaParam(-1, (2,), (1,))
+    assert all(type(v) is int for v in (*d.head, d.tail, o.k, *o.kk, *o.kkp))
+    assert param_from_json(d.to_json()) == d
+
+
 def test_param_json_roundtrip():
     d = DeltaParam((2, 1), -1)
     o = OmegaParam(0, (2,), (3, 1))
@@ -61,6 +90,8 @@ def test_param_json_roundtrip():
         {"kk": [0, "a"]},
         {"kkp": None},
         [1, 2],
+        {"head": [1], "tail": {"const": None}},
+        {"k": None},
     ],
 )
 def test_malformed_param_payloads_are_invalid(payload):
