@@ -113,10 +113,10 @@ def chi(x: FieldElement) -> complex:
             f"element with ord {x.ord} stores only {x.rel} digits; "
             f"the {ell} negative-power digits are needed"
         )
-    p = x.params.p
+    p, pows = x.params.p, x.params._ring[0]
     if x.params.family == "padic":
-        return cmath.exp(2j * cmath.pi * ((x.unit % p**ell) / p**ell))
-    return cmath.exp(2j * cmath.pi * x.digits[ell - 1] / p)  # the coefficient of t^-1
+        return cmath.exp(2j * cmath.pi * ((x.unit % pows[ell]) / pows[ell]))
+    return cmath.exp(2j * cmath.pi * (x.unit // pows[ell - 1] % pows[1]) / p)  # the coefficient of t^-1
 
 
 # ---------------------------------------------------------------------------

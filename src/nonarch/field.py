@@ -33,6 +33,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import pos
 
 from .errors import (
     DivisionByZero,
@@ -174,19 +175,21 @@ class FieldParams:
 
     @cached_property
     def _ring(self) -> tuple:
-        """(pows, negs, reduce) of the unit integers sum d_i D^i: pows[k] = D^k,
-        negs[k] - u = -u mod pi^k, and ``reduce(s, n)`` is :func:`_reduce_slots`
-        (n = 1 after a sum) over F_p((t)), None over Q_p, where D = p."""
+        """(pows, negs, fix_sum, fix_prod) of the unit integers sum d_i D^i:
+        pows[k] = D^k, negs[k] - u = -u mod pi^k, and the finishers turn a raw
+        sum or negation (fix_sum) and a raw product (fix_prod) mod D^rel back
+        into a unit: the identity over Q_p (D = p), else :func:`_reduce_slots`."""
         p, top = self.p, range(self.precision + 1)
         if self.family == "padic":
             pows = tuple(p**k for k in top)
-            return pows, pows, None
+            return pows, pows, pos, pos
         b, bound = 8 * self._slot[1], self.precision * (p - 1) ** 2
         pows = tuple(1 << b * k for k in top)
         ones = (pows[-1] - 1) // (pows[1] - 1)  # 1 in every slot
         # D/2 - p 2^j in every slot: adding it sets the free top bit of each slot holding p 2^j or more
         lifts = tuple((ones << b - 1) - (p << j) * ones for j in range(max(1, (bound // p).bit_length())))
-        return pows, tuple(p * (ones % P) for P in pows), partial(_reduce_slots, p, b, ones, lifts)
+        fix_sum, fix_prod = (partial(_reduce_slots, p, b, ones, lifts[:n]) for n in (1, None))  # sums: slots < 2p
+        return pows, tuple(p * (ones % P) for P in pows), fix_sum, fix_prod
 
     @cached_property
     def _slot(self) -> tuple[str | None, int]:
@@ -280,6 +283,9 @@ class FieldElement:
     def __setattr__(self, *args):
         raise AttributeError("FieldElement is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not the refused __setattr__
+        return type(self), (self.params, self.ord, self.unit, self.rel)
+
     # -- structure ---------------------------------------------------------
     def is_zero(self) -> bool:
         return self.ord == ORD_INF
@@ -351,17 +357,14 @@ class FieldElement:
         w = min(lo.rel, off + hi.rel)  # known digits of the sum above pi^v
         if off >= w:  # then w = lo.rel: hi lies wholly below lo's window
             return lo
-        pows, _, reduce = prm._ring
-        s = (lo.unit + hi.unit * pows[off]) % pows[w]
-        return prm._window_element(v, reduce(s, 1) if reduce else s, w)
+        pows, _, fix_sum, _ = prm._ring
+        return prm._window_element(v, fix_sum((lo.unit + hi.unit * pows[off]) % pows[w]), w)
 
     def __neg__(self) -> "FieldElement":
         if self.unit is None:
             return self
-        prm, rel = self.params, self.rel
-        _, negs, reduce = prm._ring
-        unit = negs[rel] - self.unit
-        return FieldElement(prm, self.ord, reduce(unit, 1) if reduce else unit, rel)
+        _, negs, fix_sum, _ = self.params._ring
+        return FieldElement(self.params, self.ord, fix_sum(negs[self.rel] - self.unit), self.rel)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
@@ -374,9 +377,8 @@ class FieldElement:
                 return prm._zero
             return FieldElement(prm, self.ord + other.ord, None, 0)
         rel = min(self.rel, other.rel)
-        pows, _, reduce = prm._ring
-        unit = self.unit * other.unit % pows[rel]
-        return FieldElement(prm, self.ord + other.ord, reduce(unit) if reduce else unit, rel)
+        pows, _, _, fix_prod = prm._ring
+        return FieldElement(prm, self.ord + other.ord, fix_prod(self.unit * other.unit % pows[rel]), rel)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -452,9 +454,9 @@ class FieldElement:
 _set_params, _set_ord, _set_unit, _set_rel = (getattr(FieldElement, n).__set__ for n in FieldElement.__slots__)
 
 
-def _reduce_slots(p: int, b: int, ones: int, lifts: tuple, s: int, n: int | None = None) -> int:
-    """s with each b-bit slot, below p 2^n (n = len(lifts) if None), reduced mod p."""
-    for j in reversed(range(len(lifts) if n is None else n)):  # each slot below p 2^(j+1): take p 2^j off where it fits
+def _reduce_slots(p: int, b: int, ones: int, lifts: tuple, s: int) -> int:
+    """s with each b-bit slot, below p 2^len(lifts), reduced mod p."""
+    for j in reversed(range(len(lifts))):  # each slot below p 2^(j+1): take p 2^j off where it fits
         s -= ((s + lifts[j]) >> b - 1 & ones) * (p << j)
     return s
 
@@ -522,10 +524,10 @@ def hensel_sqrt(x: FieldElement) -> FieldElement | None:
 
     The returned root beta satisfies beta^2 = x on the full stored window,
     ord(beta) = ord(x)/2, and has leading digit <= (p-1)/2 (canonical
-    choice): both lifts below start from the canonical residue root r_0 and
-    keep it.  Over Q_p, Newton steps, each at least doubling the number of
-    correct digits; over F_p((t)), the digits of r^2 = u one at a time,
-    r_k = (u_k - sum_{0<i<k} r_i r_{k-i}) / (2 r_0) mod p.
+    choice): the lift keeps the canonical residue root r_0.  It is Hensel
+    lifting one digit at a time, r_k = (digit k of u - digit k of r^2) / (2 r_0)
+    mod p for r correct below pi^k: over F_p((t)) digit k of r^2 is the slot
+    sum of r_i r_{k-i}, 0 < i < k; over Q_p the carries cancel, u = r^2 mod p^k.
     """
     prm = x.params
     prm.require_nondyadic("hensel_sqrt")
@@ -534,22 +536,14 @@ def hensel_sqrt(x: FieldElement) -> FieldElement | None:
     _require_resolved(x, "hensel_sqrt")
     if x.ord % 2 != 0:
         return None
-    p = prm.p
-    a0 = x.leading_digit()
+    p, a0 = prm.p, x.leading_digit()
     if legendre(a0, p) != 1:
         return None
     rel, u, pows = x.rel, x.unit, prm._ring[0]
     root = _canonical_residue_sqrt(prm, a0)
-    if prm.family == "padic":
-        known = 1
-        while known < rel:
-            known = min(2 * known, rel)
-            m = pows[known]
-            root = (root + (u % m) * pow(root, -1, m)) * pow(2, -1, m) % m
-    else:
-        inv = pow(2 * root, -1, p)
-        for k in range(1, rel):  # slot k of root * root sums r_i r_(k-i) over 0 < i < k
-            root += (u // pows[k] % pows[1] - root * root // pows[k] % pows[1]) * inv % p * pows[k]
+    inv = pow(2 * root, -1, p)
+    for k in range(1, rel):  # digit k of root * root, root correct below pi^k
+        root += (u // pows[k] % pows[1] - root * root // pows[k] % pows[1]) * inv % p * pows[k]
     return FieldElement(prm, x.ord // 2, root, rel)
 
 

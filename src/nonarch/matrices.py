@@ -63,6 +63,9 @@ class MatF:
     def __setattr__(self, *args):
         raise AttributeError("MatF is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not the refused __setattr__
+        return type(self), (self.params, self.rows, self.cols, self.entries)
+
     # -- constructors -------------------------------------------------------
     @classmethod
     def from_rows(cls, params: FieldParams, rows) -> "MatF":

@@ -139,6 +139,8 @@ def verify_ball_fourier(field: FieldParams):
                 m = max(0, -(l + ord_y))
                 if m == 0:
                     avg = 1.0 + 0j
+                elif p**m > orbital._EXACT_ENUM_GUARD:
+                    raise TooLarge(f"enumeration of {p}^{m} residues exceeds the guard")
                 else:
                     reps = np.arange(p**m, dtype=np.int64)
                     vals = []

@@ -1,9 +1,13 @@
 """Field arithmetic: exactness, ultrametric laws, square roots and classes."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonarch.errors import (
     DivisionByZero,
@@ -20,6 +24,7 @@ from nonarch.field import (
     square_class,
     square_class_label,
 )
+from nonarch.matrices import MatF
 from nonarch.residue import legendre
 from nonarch.sampling import RandomStream, uniform_integer
 
@@ -174,6 +179,27 @@ def test_hensel_roundtrip_and_residue_criterion(family):
     assert hensel_sqrt(next(gen).shift(1)) is None
 
 
+@settings(max_examples=400)
+@given(st.sampled_from(("padic", "laurent")), st.sampled_from((3, 5, 7, 257)), st.data())
+def test_hensel_sqrt_lifts_every_digit_of_the_window(family, p, data):
+    """The one digit-by-digit lift over both families, at windows up to 40
+    digits: half the inputs are squares y * y, so most examples lift."""
+    field = FieldParams(family, p, data.draw(st.integers(1, 40), label="precision"))
+    rel = data.draw(st.integers(1, field.precision), label="rel")
+    lead = data.draw(st.integers(1, p - 1), label="leading digit")
+    rest = data.draw(st.lists(st.integers(0, p - 1), min_size=rel - 1, max_size=rel - 1), label="digits")
+    k = data.draw(st.integers(-20, 20), label="ord")
+    x = field.element(k, [lead, *rest])._truncate_abs(k + rel)
+    if data.draw(st.booleans(), label="square"):
+        x = x * x
+    root = hensel_sqrt(x)
+    assert (root is None) == (x.ord % 2 == 1 or legendre(x.leading_digit(), p) == -1)
+    if root is not None:
+        assert (root.ord, root.rel) == (x.ord // 2, x.rel)
+        assert root.leading_digit() <= (p - 1) // 2
+        assert root * root == x  # every digit of the window, not only the overlap
+
+
 def test_nonsquare_unit_choices():
     assert FieldParams("padic", 3, 8).eps() == FieldParams("padic", 3, 8).from_int(2)
     assert FieldParams("padic", 5, 8).eps().leading_digit() == 2
@@ -256,6 +282,26 @@ def test_elements_are_immutable(q3):
     assert (x.ord, x.unit, x.rel) == (0, 7, 12)
 
 
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["deepcopy", "pickle"])
+def test_values_survive_pickle_and_deepcopy(copy_of):
+    # immutable values rebuild through their constructors; a FieldParams
+    # carries its cached zero, one and ring, which hold elements of itself
+    values = []
+    for spec in ("padic:p=3,prec=12", "laurent:p=3,prec=12", "laurent:p=4294967311,prec=12"):
+        f = parse_field_spec(spec)
+        x = f.element(-2, [1, 2, 0, f.p - 1])
+        elements = [f.zero(), FieldElement(f, 5, None, 0), x, f.one(), x * x]
+        values += [*elements, f, MatF.from_rows(f, [elements[:2], elements[2:4]])]
+    for v in values:
+        w = copy_of(v)
+        assert w == v
+        if not isinstance(v, MatF):
+            assert hash(w) == hash(v)
+        if isinstance(v, FieldParams):  # the copied caches still compute
+            y, z = v.element(-1, [2, 1, 1]), w.element(-1, [2, 1, 1])
+            assert (z * z, z + z, -z, z.inverse()) == (y * y, y + y, -y, y.inverse())
+
+
 @pytest.mark.parametrize("family", ["padic", "laurent"])
 def test_cached_constants_equal_fresh_values(family):
     f = FieldParams(family, 5, 7)
@@ -290,7 +336,7 @@ def test_laurent_reduction_of_largest_products(p, prec):
 
 
 def test_laurent_product_slots_hold_every_coefficient_sum():
-    f = FieldParams("laurent", 4294967291, 1)  # the widest 64-bit slot
+    f = FieldParams("laurent", 4294967291, 1)  # 2 (p-1)^2 >= 2^64: 9-byte slots
     x = f.element(0, [f.p - 1])
     assert (x * x).digits == (1,)
     # 12 (p-1)^2 >= 2^64: 9-byte slots; x = -(1 + t + ... + t^11) makes every

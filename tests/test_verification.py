@@ -10,6 +10,7 @@ from nonarch.errors import DimensionMismatch, TooLarge
 from nonarch.field import FieldParams
 from nonarch.sampling import RandomStream
 from nonarch.verification import _suite, verify_decompositions, verify_exact_oracle, verify_measure_charfun
+from nonarch.verification import verify_ball_fourier
 
 SEED = 20260811
 
@@ -78,6 +79,17 @@ def test_exact_oracle_reports_a_guarded_stability_level(tmp_path):
     assert len(suite.rows) == 6 * 4
     out = str(tmp_path / "report.json")
     assert main(["verify", "--field", field.spec_string(), "--samples", "200", "--out", out, "bounds"]) == 2
+
+
+@pytest.mark.parametrize("family", ["padic", "laurent"])
+def test_ball_fourier_refuses_residue_sets_past_the_guard(family, tmp_path):
+    # at (l, ord y) = (-2, -3) the average runs over 257^5 residues, past
+    # the enumeration guard: one refused row, and identities exits 2, not 1
+    field = FieldParams(family, 257, 3)
+    assert [(row["label"], row["pass"]) for row in verify_ball_fourier(field).rows] == [
+        ("refused: TooLarge: enumeration of 257^5 residues exceeds the guard", False)
+    ]
+    assert main(["verify", "identities", "--field", field.spec_string(), "--out", str(tmp_path / "report.json")]) == 2
 
 
 @pytest.mark.parametrize(
