@@ -1,4 +1,4 @@
-"""Orbital integrals three ways: Monte Carlo, exact enumeration, and the
+"""Orbital integrals three ways: Monte Carlo, the exact oracle, and the
 factorized kernel product with its explicit error bound.
 
 Also demonstrates why the comparison bound must be the union form

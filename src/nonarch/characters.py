@@ -9,7 +9,8 @@ The character chi is trivial on O_F and nontrivial on pi^-1 O_F:
   coefficient of t^-1.
 
 Two kernels are evaluated in closed form (their independent brute force,
-:func:`nonarch.orbital.theta_bruteforce`, averages the exact oracle's tables):
+:func:`nonarch.orbital.theta_bruteforce`, averages the enumerated lift table
+of one cell):
 
 * ``bilinear``: the average of chi(z1*z2*x) over integral pairs (z1, z2),
   equal to q^(-l) for |x| = q^l >= q and 1 otherwise;

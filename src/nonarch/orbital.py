@@ -16,11 +16,15 @@ once with probability x, the full-rank fraction of the error bounds below.
 Draws are keyed by chunk index so results are reproducible and independent
 of how chunks are scheduled.
 
-The exact oracle averages over the same row sets at a finite level by
-enumerating only their residues mod pi: given those, the integrand
-factorizes over the cells it reads (see :func:`exact_orbital_integral`).
-Its per-cell lift tables (:func:`_lift_tables`) are also the brute-force
-kernel oracle :func:`theta_bruteforce`, for both field families.
+The exact oracle averages over the same row sets and enumerates nothing.
+Given their residues mod pi, the integrand factorizes over the cells it
+reads into level-free cell tables (:func:`_cell_tables`), and Moebius
+inversion over the subspaces of F_q^r turns the average over full-rank
+residues into a sum over subspaces (see :func:`exact_orbital_integral`), so
+the value does not depend on the level.  The one exception is the
+congruence kind over a dyadic field, where the square identity behind the
+tables needs p odd: there the tables are enumerated by :func:`_lift_tables`,
+the brute force that is also the kernel oracle :func:`theta_bruteforce`.
 
 The corner estimator :func:`measure_charfun_batch` reuses the contraction,
 weighting the corner draw by the coefficients of ``sampling._corner_law``,
@@ -37,6 +41,8 @@ suite, which certifies the violation by enumeration).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +61,7 @@ from .sampling import (
 
 _EXACT_ENUM_GUARD = 8_000_000
 _CHUNK = 16384  # Haar draws per Monte Carlo chunk
+_MOBIUS_BLOCK = 1 << 18  # entries per block of the exact oracle's Moebius sum
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +161,11 @@ def _pair_data(field: FieldParams, D, A):
 
 def invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
     """Which (r, n) matrices of the batch, r <= n, have full row rank mod p
-    (for square ones: are invertible mod p), by batched elimination.  The
-    exact oracle filters residue rows with it; the tests check the sampler
-    against it."""
+    (for square ones: are invertible mod p), by batched elimination.  No
+    library code calls it since the exact oracle stopped enumerating
+    residues.  It stays because the benchmark's tracer binds its name, and
+    the tests check the Haar sampler and the exact oracle's residue-count
+    reference against it."""
     if (p - 1) ** 2 >= 2**63:  # residue products in int64
         raise TooLarge(f"p = {p} too large for int64 residue elimination")
     a = np.swapaxes(mats % p, 1, 2).astype(np.int64)  # full column rank of (n, r)
@@ -371,27 +380,26 @@ def within(gap: float, bound: float, stderr: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact oracle: averaging over a finite level
+# exact oracle: level-free cell tables and Moebius inversion
 # ---------------------------------------------------------------------------
 
 
-def _lift_tables(field: FieldParams, pairs, level: int, factors: int):
-    """The library's one brute force over O_F / pi^level: the cells (i, j)
-    that ``pairs`` reads, as index arrays I, J, and per cell the mean of its
-    factor chi(g1 g2 a_i x_j) over the q^(2 level) lift pairs of each residue
-    pair mod pi (factors = 2; axes: residue of g1, then of g2), or of
+def _lift_tables(field: FieldParams, pairs, level: int, factors: int) -> np.ndarray:
+    """The library's one brute force over O_F / pi^level: per cell (i, j)
+    that ``pairs`` reads, in their order, the mean of its factor
+    chi(g1 g2 a_i x_j) over the q^(2 level) lift pairs of each residue pair
+    mod pi (factors = 2; axes: residue of g1, then of g2), or of
     chi(g^2 a_i x_j) over the q^level lifts of each residue (factors = 1)."""
     # one list per cell makes W diagonal: summed over cells, it weights a
     # single lifted entry by every cell
-    I, J, W = _cell_weights(field, [[pair] for pair in pairs], level)
+    _, _, W = _cell_weights(field, [[pair] for pair in pairs], level)
     M, tail = _entry_shape(field, level)
     lifts = _enumerate(M, (factors,) + tail)
     # index = sum_e lift_e q^(level e) with lift_e = d_e + p h_e, so the
     # reshape below puts the residue of g1 (the last lift) before that of g2
     g1, g2 = (lifts[:, e].T[..., None, :] for e in (-1, 0))
     phases = _phases(_paired_phases(field, level, W.sum(axis=-2, keepdims=True), g1, g2), M)
-    tables = phases.reshape((len(pairs),) + (field.p ** (level - 1), field.p) * factors).mean(axis=(1, 3)[:factors])
-    return I, J, tables
+    return phases.reshape((len(pairs),) + (field.p ** (level - 1), field.p) * factors).mean(axis=(1, 3)[:factors])
 
 
 def theta_bruteforce(x: FieldElement, kind: str = KIND_SQUARE) -> complex:
@@ -407,23 +415,103 @@ def theta_bruteforce(x: FieldElement, kind: str = KIND_SQUARE) -> complex:
     if kind == KIND_SQUARE:
         field.require_nondyadic("the square kernel")
     pairs, level = _pair_data(field, [x], [field.one()])
-    _, _, tables = _lift_tables(field, pairs, level, 2 if kind == KIND_BILINEAR else 1)
-    return complex(tables[0].mean())
+    return complex(_lift_tables(field, pairs, level, 2 if kind == KIND_BILINEAR else 1)[0].mean())
+
+
+def _cell_tables(field: FieldParams, kind: str, pairs) -> np.ndarray:
+    """The lift tables of :func:`_lift_tables` for the cells of ``pairs``, at
+    every level from their depth on, without enumerating a lift.
+
+    A cell of depth m = 1 has the grid chi(u0 d1 d2 / pi) over the residue
+    pairs (two-sided kind), or chi(u0 d^2 / pi) over the residues
+    (congruence), u0 the lowest digit of its unit; both families read the
+    phase (u0 y mod p) / p.  A cell of depth m >= 2 is zero off residue 0:
+    given a unit residue the product is uniform on a coset of pi O_F (for the
+    square, g -> g^2 maps d + pi O_F onto d^2 + pi O_F when p is odd), where
+    chi(c pi h) averages to 0.  At residue 0 it is the kernel at depth m - 2,
+    theta(m - 2) = q^(-f floor((m - 2) / 2)) times the mean of the m = 1 grid
+    for m odd (1 for m even), with f = 2 (two-sided) or 1 (congruence).  Over
+    a dyadic field the square identity fails, so the congruence tables are
+    enumerated there."""
+    q, f = field.q, 2 if kind == KIND_TWO_SIDED else 1
+    if f == 1 and field.is_dyadic:
+        return _lift_tables(field, pairs, max(m for _, _, m, _ in pairs), 1)
+    d = np.arange(q)
+    y = (np.multiply.outer(d, d) if f == 2 else d * d) % q  # below q, so u0 y fits int64
+    # the unit's lowest digit: the integer mod p over Q_p, the first stored
+    # digit over F_p((t))
+    lowest = np.array([np.ravel(unit)[0] for _, _, _, unit in pairs]) % q
+    tables = _phases(np.multiply.outer(lowest, y) % q, q)
+    for table, (_, _, m, _) in zip(tables, pairs):
+        if m > 1:
+            theta = q ** (-f * ((m - 2) // 2)) * (table.mean() if m % 2 else 1)
+            table[...] = 0
+            table[(0,) * f] = theta
+    return tables
+
+
+def _subspace_count(q: int, r: int) -> int:
+    """The number of subspaces of F_q^r: the sum over k of the Gaussian
+    binomials [r choose k]_q."""
+    return sum(
+        math.prod(q ** (r - i) - 1 for i in range(k)) // math.prod(q ** (i + 1) - 1 for i in range(k))
+        for k in range(r + 1)
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _subspace_lattice(q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subspaces W of F_q^r as (P, mu): the incidence P[W, u] = 1[u in W]
+    over the vectors u indexed by sum_i u_i q^i, and the Moebius function
+    mu(W, F_q^r) = (-1)^c q^(c (c - 1) / 2) with c = r - dim W (Stanley,
+    Enumerative Combinatorics 1, 3.10).  Each W is listed once, as the row
+    span of its reduced echelon basis.  Both arrays are read-only."""
+    weights = q ** np.arange(r)
+    P, mu = [], []
+    for k in range(r + 1):
+        coefficients = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64).reshape(q**k, k)
+        c = r - k
+        for pivots in itertools.combinations(range(r), k):
+            free = [(a, b) for a in range(k) for b in range(pivots[a] + 1, r) if b not in pivots]
+            values = np.array(list(itertools.product(range(q), repeat=len(free))), dtype=np.int64)
+            bases = np.zeros((len(values), k, r), dtype=np.int64)
+            bases[:, range(k), pivots] = 1
+            for t, (a, b) in enumerate(free):
+                bases[:, a, b] = values[:, t]
+            members = np.einsum("sk,wkr->wsr", coefficients, bases) % q @ weights
+            block = np.zeros((len(values), q**r))
+            np.put_along_axis(block, members, 1.0, axis=1)
+            P.append(block)
+            mu += [(-1) ** c * q ** (c * (c - 1) // 2)] * len(values)
+    P, mu = np.concatenate(P), np.array(mu, dtype=float)
+    P.flags.writeable = mu.flags.writeable = False
+    return P, mu
 
 
 def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> complex:
     """Exact value of the orbital integral: the average of the integrand over
-    the full-rank r x n row sets mod pi^level that it reads (pairs of them
-    for the two-sided kind).  Valid once level >= max(-ord(a_i x_j)):
-    perturbing g by pi^level h moves the trace inside O_F, where chi is
-    trivial, so Haar measure may be replaced by the uniform measure there.
+    the full-rank r x n row sets it reads (pairs of them for the two-sided
+    kind), r = 1 + the last row of a cell read.  ``level`` must reach the
+    stability level max(-ord(a_i x_j)); perturbing g by pi^level h then moves
+    the trace inside O_F, where chi is trivial.  The value does not depend
+    on ``level``: the cell tables are level-free.
 
     Such a row set is R + pi H, with R of full rank mod pi and H uniform and
-    independent of R, so given R the integrand factorizes over the read
-    cells.  The p^(r n) residue sets are enumerated once and counted by
-    their values on the read cells, and the counts contracted with the
-    per-cell lift tables of :func:`_lift_tables` give the average.  No row
-    set mod pi^level is written out."""
+    independent of R, so given R the integrand is the product over read
+    cells of their tables (:func:`_cell_tables`; over a dyadic field the
+    congruence tables are the enumerated :func:`_lift_tables`).  R has full
+    rank exactly when its columns span F_q^r, so Moebius inversion over the
+    subspaces W of F_q^r (:func:`_subspace_lattice`) replaces the residue
+    count:
+
+        integral = x^-f sum_W mu(W, F_q^r) prod_j E_j(W),
+
+    x = :func:`full_rank_fraction`, f = 2 (two-sided; W runs over pairs) or 1
+    (congruence).  A read column j has E_j = q^(-f r) P F_j P^t (P F_j for
+    congruence), F_j the Kronecker product of its cell tables over the
+    column's residues; an unread column has E_j = (|W| / q^r)^f.  The guard
+    bounds the q^(f r) column values, the q^r vectors of every subspace and,
+    for the two-sided kind, the subspace pairs."""
     _check_kind(kind)
     D = [as_element(field, v) for v in D]
     A = [as_element(field, v) for v in A]
@@ -435,18 +523,31 @@ def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> c
         return 1 + 0j
     if level < K:
         raise LevelTooLow(f"level {level} < stability level {K}")
-    p, factors = field.p, 1 if kind == KIND_CONGRUENCE else 2
-    residues = _enumerate(p, (_rows_read(pairs), n))
-    residues = residues[invertible_mask(residues, p)]
-    I, J, tables = _lift_tables(field, pairs, level, factors)
-    shape = (p,) * len(pairs)  # p^cells <= p^(r n) counts, within the residue guard
-    counts = np.bincount(np.ravel_multi_index(residues[:, I, J].T, shape), minlength=math.prod(shape)).reshape(shape)
-    total = counts
-    for table in tables:  # congruence: sum_d counts[d] prod_c f_c(d_c)
-        total = np.tensordot(total, table, axes=(0, 0))  # two-sided: g1 axis c -> g2 axis c
-    if kind == KIND_CONGRUENCE:
-        return complex(total / len(residues))
-    return complex((total * counts).sum() / len(residues) ** 2)
+    q, f, r = field.q, 1 if kind == KIND_CONGRUENCE else 2, _rows_read(pairs)
+    count = _subspace_count(q, r)
+    for size, what in ((q ** (f * r), "column values"), (count * q**r, "subspace vectors"), (count**f, "subspaces")):
+        if size > _EXACT_ENUM_GUARD:
+            raise TooLarge(f"{size} {what} of F_{q}^{r} exceed the guard")
+    P, mu = _subspace_lattice(q, r)
+    columns, unread = {}, np.ones((q,) * f)
+    for (i, j, _, _), table in zip(pairs, _cell_tables(field, kind, pairs)):
+        columns.setdefault(j, [unread] * r)[i] = table
+    # F_j = the Kronecker product of the column's tables, row u = sum_i u_i q^i:
+    # einsum axis i + r k holds digit i of the residue of factor k
+    axes = [[i + r * k for k in range(f)] for i in range(r)]
+    digits = [axis[k] for k in range(f) for axis in axes[::-1]]
+    Fs = [np.einsum(*itertools.chain(*zip(tables, axes)), digits).reshape((q**r,) * f) for tables in columns.values()]
+    share = P.sum(axis=1) / q**r  # |W| / q^r
+    total = 0j
+    # blocks of W (of W1 for pairs): a row of E has len(P)^(f - 1) entries
+    step = max(1, _MOBIUS_BLOCK // len(P) ** (f - 1))
+    for start in range(0, len(P), step):
+        rows = slice(start, start + step)
+        E = (share[rows] if f == 1 else np.outer(share[rows], share)) ** (n - len(Fs))
+        for F in Fs:
+            E = E * (P[rows] @ F @ P.T if f == 2 else P[rows] @ F) / q ** (f * r)
+        total += mu[rows] @ E @ mu if f == 2 else mu[rows] @ E
+    return complex(total / float(full_rank_fraction(n, r, q)) ** f)
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,7 @@ def verify_exact_oracle(field: FieldParams, rng: RandomStream, n_samples: int = 
         try:
             exact = orbital.exact_orbital_integral(field, kind, dv, av, level)
         except TooLarge as exc:
-            yield f"{kind} D={dv} A={av}: level {level} exceeds the enumeration guard ({exc})", False
+            yield f"{kind} D={dv} A={av}: exact value past the enumeration guard ({exc})", False
             continue
         mc_rng = rng.child("mc", kind, tuple(dv), tuple(av))
         est = orbital.mc_orbital_multi(field, kind, dv, [av], n_samples, mc_rng)[0]
@@ -299,13 +299,16 @@ def verify_exact_oracle(field: FieldParams, rng: RandomStream, n_samples: int = 
         bound = float(orbital.error_bound(kind, len(dv), len(av), q).factorization)
         gap_cf = abs(exact - cv)
         yield f"{kind} D={dv} A={av}: |exact - product| {gap_cf:.2e} <= bound {bound:.2e}", gap_cf <= bound + EXACT_TOL
+        # the oracle's level-free cell tables against the enumerated lifts
+        D, A = ([orbital.as_element(field, v) for v in vals] for vals in (dv, av))
+        pairs, _ = orbital._pair_data(field, D, A)
+        label = f"{kind} D={dv} A={av}: lift tables at level {level}"
         try:
-            hi = orbital.exact_orbital_integral(field, kind, dv, av, level + 1)
+            lifted = orbital._lift_tables(field, pairs, level, 1 if kind == KIND_CONGRUENCE else 2)
         except TooLarge as exc:
-            guarded = f"level {level + 1} exceeds the enumeration guard ({exc})"
-            yield f"{kind} D={dv} A={av}: level stability: {guarded}", False
+            yield f"{label} past the enumeration guard ({exc})", False
         else:
-            yield f"{kind} D={dv} A={av}: level stability", abs(exact - hi) <= 1e-12
+            yield label, np.abs(orbital._cell_tables(field, kind, pairs) - lifted).max() <= EXACT_TOL
         perm = list(reversed(dv))
         yield (
             f"{kind} D={dv}: permutation invariance",

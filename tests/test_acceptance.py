@@ -62,7 +62,7 @@ def test_criterion_4_orbital_bounds(field):
 
 def test_criterion_5_exact_oracle(field):
     suite, dt = timed(V.verify_exact_oracle, field, RandomStream(SEED).child("oracle"), n_samples=100_000)
-    report(5, "exact enumeration oracle vs MC and product formula", [suite], 120.0, dt)
+    report(5, "exact oracle vs MC and product formula", [suite], 120.0, dt)
 
 
 def test_criterion_6_measure_charfun(field):

@@ -207,8 +207,8 @@ def test_verify_uniqueness_semigroup_report_pinned(capsys, tmp_path):
 @pytest.mark.parametrize(
     "spec, expected",
     [
-        ("padic:p=3,prec=12", "548d15a0e9e3c0048e1639090c64478e6eb205385e4bb5850cb0a6eff181d173"),
-        ("laurent:p=3,prec=12", "9a5c21a9e3dff8ae6e15445a8fd2c8bc00fba2f42c204e8a8d91f1e3097975d0"),
+        ("padic:p=3,prec=12", "60b408fe8fb27a8cfc1bc4f364bf8eb5a72bbcc68a65ddabaa3466c4407432df"),
+        ("laurent:p=3,prec=12", "2fd4b854daf178c53d65287ea3cf6fc6c645a88ae550018065c1fbd3204317ff"),
     ],
 )
 def test_verify_statistical_reports_pinned(capsys, tmp_path, spec, expected):

@@ -281,9 +281,9 @@ def test_exact_congruence_worked_example(q3):
 def test_exact_level_guards(q3):
     with pytest.raises(LevelTooLow):
         exact_orbital_integral(q3, KIND_TWO_SIDED, [1], [1], level=1)
-    with pytest.raises(TooLarge):  # 3^25 residue row sets
-        exact_orbital_integral(q3, KIND_TWO_SIDED, [2] * 5, [2] * 5, level=4)
-    # 3^9 residue row sets and 81^2 lift pairs per cell
+    with pytest.raises(TooLarge, match="column values"):  # 8 rows read: 3^16 residue pairs per column
+        exact_orbital_integral(q3, KIND_TWO_SIDED, [2] * 8, [2] * 8, level=4)
+    # 3 rows read: 3^6 residue pairs per column and 28 subspaces of F_3^3
     exact = exact_orbital_integral(q3, KIND_TWO_SIDED, [2, 2, 2], [2, 2, 2], level=4)
     prod = product_formula(q3, KIND_TWO_SIDED, [2, 2, 2], [2, 2, 2]).to_complex(3)
     assert abs(exact - prod) <= float(error_bound(KIND_TWO_SIDED, 3, 3, 3).factorization)
@@ -362,8 +362,7 @@ def test_exact_rows_match_whole_matrix_enumeration(q3, l3, kind, dv, av, level):
         assert exact_orbital_integral(field, kind, dv, av, level) == pytest.approx(direct, abs=1e-12)
 
 
-# whole-matrix enumerations up to these sizes take well under a second;
-# levels stop at 4, where the oracle's lift pairs number q^8
+# whole-matrix enumerations up to these sizes take well under a second
 DIRECT_LIMIT = {KIND_TWO_SIDED: 4096, KIND_CONGRUENCE: 531441}
 
 
@@ -396,7 +395,7 @@ def test_exact_reaches_level_three_at_rank_one(q3):
 
 
 def test_exact_two_sided_rank_two_level_three(q3, l3):
-    # 27^4 whole matrices mod 27 per factor; the oracle needs 3^4 residues
+    # 27^4 whole matrices mod 27 per factor; the oracle's value is level-free
     for field in (q3, l3):
         v2 = exact_orbital_integral(field, KIND_TWO_SIDED, [1, 0], [1, 1], level=2)
         v3 = exact_orbital_integral(field, KIND_TWO_SIDED, [1, 0], [1, 1], level=3)

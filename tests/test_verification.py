@@ -41,44 +41,42 @@ def test_measure_charfun_batched_over_laurent():
 
 
 def test_exact_oracle_checks_rank_two_level_stability():
-    # level 3 of the two-sided rank-two case: 3^4 residue row sets
-    label = "two_sided D=[1, 0] A=[1, 1]: level stability"
+    # level stability of the two-sided rank-two case: its level-free tables
+    # against the lift pairs enumerated at its level
+    label = "two_sided D=[1, 0] A=[1, 1]: lift tables at level 2"
     for spec in (("padic", 3, 12), ("laurent", 3, 12)):
         suite = verify_exact_oracle(FieldParams(*spec), RandomStream(SEED).child("oracle"), n_samples=2000)
         assert [row["pass"] for row in suite.rows if row["label"] == label] == [True]
 
 
 def test_exact_oracle_reports_guarded_levels(tmp_path):
-    # over Q_59 the level-2 lift pairs (59^4) and the rank-two residue sets
-    # exceed the enumeration guard: each such case is one failing row, the
-    # others are still checked, and verify exits 2 rather than 1
+    # over Q_59 the two-sided lift tables at level 2 (59^4 lift pairs) and
+    # the rank-two residue pairs of a column (59^4) exceed the enumeration
+    # guard: each is one failing row, the others are still checked, and
+    # verify exits 2 rather than 1
     field = FieldParams("padic", 59, 6)
     suite = verify_exact_oracle(field, RandomStream(1).child("oracle"), n_samples=MIN_MC_SAMPLES)
-    failed = [row["label"].split(": ")[0] for row in suite.rows if not row["pass"]]
-    assert failed == [
-        "two_sided D=[1] A=[1]",
-        "two_sided D=[1, 0] A=[1]",
-        "two_sided D=[1, 0] A=[1, 1]",
-        "congruence D=[1, 1] A=[1, 0]",
+    failed = [row["label"] for row in suite.rows if not row["pass"]]
+    assert [label.split(" past ")[0] for label in failed] == [
+        "two_sided D=[1] A=[1]: lift tables at level 2",
+        "two_sided D=[1, 0] A=[1]: lift tables at level 2",
+        "two_sided D=[1, 0] A=[1, 1]: exact value",
     ]
-    assert all("exceeds the enumeration guard" in row["label"] for row in suite.rows if not row["pass"])
-    assert len(suite.rows) == len(failed) + 2 * 4
+    assert all("past the enumeration guard" in label for label in failed)
+    assert len(suite.rows) == 1 + 5 * 4
     out = str(tmp_path / "report.json")
     assert main(["verify", "--field", field.spec_string(), "--samples", str(MIN_MC_SAMPLES), "--out", out, "bounds"]) == 2
 
 
-def test_exact_oracle_reports_a_guarded_stability_level(tmp_path):
-    # over Q_17 level 2 of each two-sided case fits the enumeration guard
-    # but level 3 (17^6 lift pairs) does not: its stability check is one
-    # failing row, and verify exits 2
+def test_exact_oracle_passes_over_q17(tmp_path):
+    # over Q_17 the two-sided cases need no level past the guard: every row
+    # passes, and so does verify bounds
     field = FieldParams("padic", 17, 8)
     suite = verify_exact_oracle(field, RandomStream(1).child("oracle"), n_samples=200)
-    failed = [row["label"] for row in suite.rows if not row["pass"]]
-    guarded = "level stability: level 3 exceeds the enumeration guard (enumeration of 4913^2 arrays exceeds the guard)"
-    assert failed == [f"two_sided D={dv} A={av}: {guarded}" for dv, av in (([1], [1]), ([1, 0], [1]), ([1, 0], [1, 1]))]
+    assert [row["label"] for row in suite.rows if not row["pass"]] == []
     assert len(suite.rows) == 6 * 4
     out = str(tmp_path / "report.json")
-    assert main(["verify", "--field", field.spec_string(), "--samples", "200", "--out", out, "bounds"]) == 2
+    assert main(["verify", "--field", field.spec_string(), "--samples", "200", "--out", out, "bounds"]) == 0
 
 
 @pytest.mark.parametrize("family", ["padic", "laurent"])
