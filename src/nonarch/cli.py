@@ -6,7 +6,7 @@ verify and converge also take --seed, and verify and converge --samples.
 Exit codes: 0 on success, 1 on usage or runtime errors, 2 when a
 verification suite fails, including a check the library refuses at the
 given field or precision.  Every randomized subcommand prints the seed it
-used.
+used.  A handler returns its payload, which `main` alone writes.
 """
 
 from __future__ import annotations
@@ -183,29 +183,23 @@ def _cmd_field_info(args, field: FieldParams):
                 "gauss_phase": rho,
             }
         )
-    _emit(args, info)
-    return 0
+    return info
 
 
 def _cmd_gauss_sum(args, field: FieldParams):
     g = gauss_sum(args.a, field.p)
-    _emit(
-        args,
-        {
-            "p": field.p,
-            "a": args.a % field.p,
-            "value": [g.complex_value.real, g.complex_value.imag],
-            "sign": g.sign,
-            "rho": g.rho,
-        },
-    )
-    return 0
+    return {
+        "p": field.p,
+        "a": args.a % field.p,
+        "value": [g.complex_value.real, g.complex_value.imag],
+        "sign": g.sign,
+        "rho": g.rho,
+    }
 
 
 def _cmd_theta(args, field: FieldParams):
     x = _parse_element(field, args.x)
-    _emit(args, theta_closed(x, args.kind).to_json())
-    return 0
+    return theta_closed(x, args.kind).to_json()
 
 
 def _exponent_json(s):
@@ -217,31 +211,23 @@ def _exponent_json(s):
 def _cmd_snf(args, field: FieldParams):
     A = MatF.from_json(field, _load_json_arg(args.matrix))
     res = smith_normal_form(A)
-    _emit(
-        args,
-        {
-            "sing": [_exponent_json(s) for s in res.sing],
-            "a": res.a.to_json(),
-            "b": res.b.to_json(),
-            "recomposes": res.recompose().agrees(A),
-        },
-    )
-    return 0
+    return {
+        "sing": [_exponent_json(s) for s in res.sing],
+        "a": res.a.to_json(),
+        "b": res.b.to_json(),
+        "recomposes": res.recompose().agrees(A),
+    }
 
 
 def _cmd_symdiag(args, field: FieldParams):
     A = MatF.from_json(field, _load_json_arg(args.matrix))
     res = sym_diagonalize(A)
-    _emit(
-        args,
-        {
-            "diag": [x.to_json() for x in res.diag_entries],
-            "classes": [list(l) for l in res.class_labels()],
-            "g": res.g.to_json(),
-            "recomposes": res.recompose().agrees(A),
-        },
-    )
-    return 0
+    return {
+        "diag": [x.to_json() for x in res.diag_entries],
+        "classes": [list(l) for l in res.class_labels()],
+        "g": res.g.to_json(),
+        "recomposes": res.recompose().agrees(A),
+    }
 
 
 def _cmd_charfun(args, field: FieldParams):
@@ -252,8 +238,7 @@ def _cmd_charfun(args, field: FieldParams):
         what = "integers" if delta else "element objects"
         raise InvalidParam(f"--args must be a JSON list of {what}, got {raw_args!r}")
     values = param.char(raw_args if delta else [FieldElement.from_json(field, a) for a in raw_args])
-    _emit(args, {"param": param.to_json(), "values": [v.to_json() for v in values]})
-    return 0
+    return {"param": param.to_json(), "values": [v.to_json() for v in values]}
 
 
 def _cmd_sample(args, field: FieldParams):
@@ -269,15 +254,13 @@ def _cmd_sample(args, field: FieldParams):
             raise InvalidParam(f"--kind {args.kind} samples a {family.__name__}, got a {type(param).__name__}")
         mats = [sample_corner(field, param, args.n, rng.child(args.kind, i)) for i in range(args.count)]
     print(f"seed: {args.seed}", file=sys.stderr)
-    _emit(args, [m.to_json() for m in mats])
-    return 0
+    return [m.to_json() for m in mats]
 
 
 def _cmd_oplus(args, field: FieldParams):
     a = param_from_json(_load_json_arg(args.a))
     b = param_from_json(_load_json_arg(args.b))
-    _emit(args, convolve(a, b).to_json())
-    return 0
+    return convolve(a, b).to_json()
 
 
 def _cmd_verify(args, field: FieldParams):
@@ -286,12 +269,10 @@ def _cmd_verify(args, field: FieldParams):
         names = list(verification.SUITE_BUILDERS)
     print(f"seed: {args.seed}", file=sys.stderr)
     suites = verification.run_suites(names, field, args.seed, n_samples=args.samples, trials=args.trials)
-    report = [s.to_json() for s in suites]
     for s in suites:
         status = "PASS" if s.passed else "FAIL"
         print(f"{status:4} {s.name} ({s.seconds:.1f}s)", file=sys.stderr)
-    _emit(args, report)
-    return 0 if all(s.passed for s in suites) else 2
+    return [s.to_json() for s in suites], all(s.passed for s in suites)
 
 
 def _cmd_converge(args, field: FieldParams):
@@ -302,8 +283,7 @@ def _cmd_converge(args, field: FieldParams):
     payload = [
         {"n": r.n, "max_gap": r.max_gap, "bound": r.bound, "pass": r.passed} for r in rows
     ]
-    _emit(args, payload)
-    return 0 if all(r.passed for r in rows) else 2
+    return payload, all(r.passed for r in rows)
 
 
 def main(argv=None) -> int:
@@ -314,13 +294,17 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         field = parse_field_spec(args.field)
-        return args.handler(args, field)
+        result = args.handler(args, field)
+        # verify and converge return (payload, passed); the others their payload
+        payload, passed = result if isinstance(result, tuple) else (result, True)
+        _emit(args, payload)
     except NonArchError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if passed else 2
 
 
 if __name__ == "__main__":

@@ -448,34 +448,26 @@ def sym_diagonalize(A: MatF) -> SymDiagResult:
         reps.append(rep)
         for r in range(n):
             g[r][i] = g[r][i] * wit
+    labels = [square_class_label(rep) for rep in reps]
     # Canonical form: at most one eps-twisted entry per level.  Two of them
     # are congruent to two plain entries via h = [[a, b], [-b, a]] with
     # a^2 + b^2 = eps (det h = eps, a unit), since h h^t = diag(eps, eps).
-    by_level = defaultdict(list)
+    eps_by_ord = defaultdict(list)
     for i, rep in enumerate(reps):
-        lbl = square_class_label(rep)
-        if lbl != ("zero",) and lbl[1]:
-            by_level[lbl[0]].append(i)
-    a_el, b_el = (None, None)
-    for level, idxs in by_level.items():
+        if labels[i] != ("zero",) and labels[i][1]:
+            eps_by_ord[rep.ord].append(i)
+    for level, idxs in eps_by_ord.items():
         while len(idxs) >= 2:
             i, j = idxs.pop(), idxs.pop()
-            if a_el is None:
-                a_el, b_el = _eps_sum_of_squares(params)
-            reps[i] = params.uniformizer_pow(level)
-            reps[j] = params.uniformizer_pow(level)
+            a_el, b_el = _eps_sum_of_squares(params)
+            reps[i] = reps[j] = params.uniformizer_pow(level)
+            labels[i] = labels[j] = (level, False)
             for r in range(n):
                 ci, cj = g[r][i], g[r][j]
                 g[r][i] = a_el * ci - b_el * cj
                 g[r][j] = b_el * ci + a_el * cj
     # deterministic order: descending |.| (ascending ord), plain class first
-    def sort_key(i):
-        lbl = square_class_label(reps[i])
-        if lbl == ("zero",):
-            return (1, 0, 0)
-        return (0, lbl[0], 1 if lbl[1] else 0)
-
-    order = sorted(range(n), key=sort_key)
+    order = sorted(range(n), key=lambda i: (1,) if labels[i] == ("zero",) else (0,) + labels[i])
     reps = [reps[i] for i in order]
     g = [[g[r][order[c]] for c in range(n)] for r in range(n)]
     return SymDiagResult(MatF.from_rows(params, g), tuple(reps))

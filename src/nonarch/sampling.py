@@ -331,9 +331,7 @@ def orbital_push(X: MatF, kind: str, rng: RandomStream) -> MatF:
     """One draw from the orbital measure generated by X: g1 X g2 under the
     two-sided action (g1, g2 two samples of one Haar draw), g X g^t under congruence."""
     _check_kind(kind)
-    n = X.rows
+    g = _haar_gls(rng.child("g"), X.params, X.rows, 2 if kind == KIND_TWO_SIDED else 1)
     if kind == KIND_TWO_SIDED:
-        g1, g2 = _haar_gls(rng.child("g"), X.params, n, 2)
-        return g1 @ X @ g2
-    g = haar_gl(rng.child("g"), X.params, n)
-    return g @ X @ g.transpose()
+        return g[0] @ X @ g[1]
+    return g[0] @ X @ g[0].transpose()

@@ -142,11 +142,24 @@ def verify_ball_fourier(field: FieldParams):
                 elif p**m > orbital._EXACT_ENUM_GUARD:
                     raise TooLarge(f"enumeration of {p}^{m} residues exceeds the guard")
                 else:
-                    reps = np.arange(p**m, dtype=np.int64)
-                    vals = []
-                    for z in reps:
-                        x = field.from_base_p(int(z), l)
-                        vals.append(chi(x * y))
+                    # x y for x = from_base_p(z, l), z = 0 .. p^m - 1, stepped
+                    # as an odometer over the base-p digits of z: digit i
+                    # adds pi^(l+i) y, each wrapping digit j below it
+                    # subtracts (p-1) pi^(l+j) y; exact in both families
+                    steps = [y.shift(l + i) for i in range(m)]
+                    wraps = [s * field.from_int(p - 1) for s in steps]
+                    digits = [0] * m
+                    xy = field.zero()
+                    vals = [chi(xy)]
+                    for _ in range(p**m - 1):
+                        i = 0
+                        while digits[i] == p - 1:
+                            digits[i] = 0
+                            xy -= wraps[i]
+                            i += 1
+                        digits[i] += 1
+                        xy += steps[i]
+                        vals.append(chi(xy))
                     avg = complex(np.mean(vals))
                 expected = 1.0 if ord_y >= -l else 0.0
                 worst = max(worst, abs(avg - expected))

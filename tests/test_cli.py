@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -366,6 +367,53 @@ def test_sample_requires_min_count_invariant(capsys):
     # n_samples floor applies to MC subcommands (verify/converge)
     code, _, _ = run(capsys, "converge", "--param", '{"head": [], "tail": {"const": 0}}', "--samples", "50")
     assert code == 1
+
+
+TWO_BY_TWO = '{"rows": 2, "cols": 2, "entries": [{"ord": 0, "digits": [0]}, {"ord": 1, "digits": [1]}, {"ord": -1, "digits": [2]}, {"ord": 0, "digits": [0]}]}'
+HYPERBOLIC = '{"rows": 2, "cols": 2, "entries": [{"ord": 0, "digits": [0]}, {"ord": 0, "digits": [1]}, {"ord": 0, "digits": [1]}, {"ord": 0, "digits": [0]}]}'
+
+# one invocation per subcommand and output path, and each exit code; "OUT"
+# stands for a file under tmp_path
+TRANSCRIPT = [
+    ("field-info", "--field", "laurent:p=7,prec=20"),
+    ("field-info", "--format", "csv"),
+    ("gauss-sum", "--field", "padic:p=5,prec=6", "--a", "3"),
+    ("theta", "--x", "ord=-3,unit=2", "--kind", "bilinear"),
+    ("snf", "--matrix", TWO_BY_TWO),
+    ("symdiag", "--matrix", HYPERBOLIC, "--format", "csv"),
+    ("charfun", "--param", '{"head": [2], "tail": "neginf"}', "--args", "[0, -2]"),
+    ("charfun", "--param", OMEGA, "--args", '[{"ord": -1, "digits": [1]}]'),
+    ("sample", "--kind", "haar", "--n", "2", "--count", "2", "--seed", "9"),
+    ("sample", "--kind", "mu", "--param", '{"head": [1], "tail": "neginf"}', "--n", "2", "--seed", "4", "--format", "csv"),
+    ("sample", "--kind", "nu", "--param", OMEGA, "--n", "3", "--seed", "4", "--out", "OUT"),
+    ("oplus", "--a", '{"head": [6, 2, 2], "tail": {"const": -3}}', "--b", '{"head": [4, 3, 0, -1], "tail": "neginf"}'),
+    ("verify", "identities", "semigroup", "--seed", "7", "--out", "OUT"),
+    ("verify", "semigroup", "--seed", "3", "--format", "csv"),
+    ("verify", "bounds", "--field", "padic:p=59,prec=6", "--samples", "100"),
+    ("converge", "--param", '{"head": [1], "tail": "neginf"}', "--n-list", "2,4", "--samples", "200", "--seed", "11"),
+    ("converge", "--param", '{"head": [1, 2], "tail": "neginf"}', "--n-list", "4", "--samples", "200"),
+    ("sample", "--kind", "mu", "--param", '{"head": [1], "tail": null}', "--n", "2"),
+    ("sample", "--kind", "haar", "--field", "padic:p=4294967311,prec=2"),
+    ("theta", "--field", "padic:p=4,prec=3", "--x", "ord=0,unit=1"),
+    ("snf", "--matrix", "not-json"),
+    ("sample", "--kind", "haar", "--n", "0"),
+]
+
+
+def test_cli_transcript_is_pinned(capsys, monkeypatch, tmp_path):
+    # sha256 over (argv, exit code, stdout, stderr, --out file) of every
+    # invocation above, with the suites' wall times cut from the PASS/FAIL
+    # lines: a change to how the CLI writes its results must leave it as is
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    digest = hashlib.sha256()
+    for argv in TRANSCRIPT:
+        out_file = tmp_path / "out"
+        out_file.unlink(missing_ok=True)
+        code, out, err = run(capsys, *(str(out_file) if a == "OUT" else a for a in argv))
+        written = out_file.read_text() if out_file.exists() else None
+        err = re.sub(r"\(\d+\.\ds\)$", "", err, flags=re.M)
+        digest.update(json.dumps([argv, code, out, err, written]).encode())
+    assert digest.hexdigest() == "07892845052f5abae419a4eed8ba74b31f919809ebaa9aac0455e9ebb5aea205"
 
 
 def test_python_m_nonarch_runs_the_cli():
