@@ -51,12 +51,12 @@ import numpy as np
 
 from .characters import KIND_BILINEAR, KIND_SQUARE, CharValue, charvalue_product, chi, theta_closed
 from .errors import DimensionMismatch, InsufficientPrecision, LevelTooLow, TooLarge
-from .field import FieldElement, FieldParams
+from .field import FieldElement, FieldParams, _base_digits
 from .matrices import MatF
 from .params import DeltaParam
 from .sampling import (
     KIND_CONGRUENCE, KIND_TWO_SIDED, RandomStream, _check_kind, _corner_draws, _corner_law, _entry_shape, _haar_rows,
-    _pow_mod_vec,
+    _pow_mod_vec, _product_bound,
 )
 
 _EXACT_ENUM_GUARD = 8_000_000
@@ -136,20 +136,27 @@ def _pair_data(field: FieldParams, D, A):
     """For each (i, j) with m_ij = -ord(a_i x_j) >= 1, the depth m_ij and the
     unit part of a_i x_j; plus the overall window K.  Raises
     InsufficientPrecision, as chi does, when a_i x_j stores fewer than m_ij
-    digits."""
-    pairs = []
-    K = 0
+    digits.  Entries of D of equal value share one product a_i x_j."""
+    first = {}  # the value of an x (cheaper to hash than the element) -> its first position
+    twin = [first.setdefault((x.ord, x.rel, x.unit), j) for j, x in enumerate(D)]
+    pairs, K = [], 0
     for i, a in enumerate(A):
+        cells = [None] * len(D)  # (m, unit) of a x_j, None where a x_j lies in O_F
         for j, x in enumerate(D):
-            prod = a * x
-            if prod.is_zero() or prod.ord >= 0:
-                continue
-            m = -prod.ord
-            if prod.rel < m:
-                raise InsufficientPrecision(f"argument product stores {prod.rel} digits; chi needs {m}")
-            unit = prod.unit % field.p**m if field.family == "padic" else prod.digits[:m]
-            pairs.append((i, j, m, unit))
-            K = max(K, m)
+            if twin[j] < j:
+                cell = cells[twin[j]]
+            else:
+                prod = a * x
+                if prod.is_zero() or prod.ord >= 0:
+                    continue
+                m = -prod.ord
+                if prod.rel < m:
+                    raise InsufficientPrecision(f"argument product stores {prod.rel} digits; chi needs {m}")
+                unit = prod.unit % field.p**m if field.family == "padic" else _base_digits(prod.unit, field._ring[0][1], m)
+                cell = cells[j] = m, unit
+                K = max(K, m)
+            if cell:
+                pairs.append((i, j) + cell)
     _check_window(field, K)
     return pairs, K
 
@@ -205,34 +212,42 @@ def _enumerate(base: int, shape: tuple) -> np.ndarray:
 
 def _cell_weights(field: FieldParams, pair_lists, K: int):
     """The weight builder of both phase kernels: the cells (i, j) that any
-    pair list reads, as index arrays I, J, and weights W of shape
-    tail + (cells, lists): list l has the phase integer
-    sum_c s_c . W[.., c, l] mod M at cell values s_c mod pi^K.  Over Q_p,
-    M = p^K and W = unit * p^(K-m); over F_p((t)), M = p and
+    pair list reads, in order of first appearance, as index arrays I, J,
+    and int64 weights W of shape tail + (cells, lists): list l has the
+    phase integer sum_c s_c . W[.., c, l] mod M at cell values s_c mod pi^K.
+    Over Q_p, M = p^K and W = unit * p^(K-m); over F_p((t)), M = p and
     W[s] = unit[m-1-s] (s < m) reads the t^-1 coefficient."""
-    cells = list(dict.fromkeys((i, j) for pairs in pair_lists for i, j, _, _ in pairs))
+    cells = {}  # cell (i, j) -> its index, in order of first appearance
+    for pairs in pair_lists:
+        for i, j, _, _ in pairs:
+            cells.setdefault((i, j), len(cells))
     M, tail = _entry_shape(field, K)
     W = np.zeros(tail + (len(cells), len(pair_lists)), dtype=np.int64)
     for l, pairs in enumerate(pair_lists):
-        for i, j, m, unit in pairs:
-            if tail:
-                W[:m, cells.index((i, j)), l] = unit[::-1]
-            else:
-                W[cells.index((i, j)), l] = unit * field.p ** (K - m) % M
-    I, J = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+        at = [cells[i, j] for i, j, _, _ in pairs]
+        if tail:
+            W[:, at, l] = np.array([unit[::-1] + (0,) * (K - m) for _, _, m, unit in pairs]).T
+        else:
+            W[at, l] = [unit * field.p ** (K - m) % M for _, _, m, unit in pairs]
+    I, J = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
     return I, J, W
 
 
 def _gather(g: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """g[:, I, J] laid out as tail + (cells, count)."""
-    return g.T[..., J, I, :]
+    """g[:, I, J] laid out as tail + (cells, count), C-contiguous: the digit
+    axis is indexed too, so each (digit, cell) copies one run of count entries."""
+    digits = (np.arange(g.shape[-1])[:, None],) if g.ndim == 4 else ()
+    return g.T[digits + (J, I)]
 
 
 def _paired_phases(field: FieldParams, K: int, W: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Phase integers (lists, count) from the gathered cells a of g1 and b of
     g2: the cell products mod pi^K (digit convolutions over F_p((t))),
     contracted against W in float64 while the sums stay exact below 2^53,
-    else reduced mod M and summed product by product in int64."""
+    else reduced mod M and summed product by product in int64.  The cell
+    products are taken in the integer type of a and b: the Haar rows'
+    ``sampling._entry_dtype`` (int16 at p = 3) holds the product bound, so
+    nothing wraps."""
     M, tail = _entry_shape(field, K)
     if tail:
         s = np.zeros_like(b)
@@ -242,7 +257,7 @@ def _paired_phases(field: FieldParams, K: int, W: np.ndarray, a: np.ndarray, b: 
     else:
         s = a * b
     s, W = s.reshape(-1, s.shape[-1]), W.reshape(-1, W.shape[-1])
-    top = (M - 1) ** 2 * (K if tail else 1)  # bounds a cell product
+    top = _product_bound(field, K)
     if len(s) * top * (M - 1) < 1 << 53:
         return (W.T.astype(float) @ s.astype(float)).astype(np.int64) % M
     s = s % M

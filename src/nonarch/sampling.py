@@ -149,14 +149,42 @@ def uniform_integer(params: FieldParams, rng: RandomStream) -> FieldElement:
     return _element(params, _uniform_window(params, rng, params.precision))
 
 
+def _product_bound(field: FieldParams, K: int) -> int:
+    """A bound on one cell product of the phase kernels at window K: (M-1)^2
+    for entries below M = p^K over Q_p, K (p-1)^2 for a digit convolution
+    over F_p((t))."""
+    base, tail = _entry_shape(field, K)
+    return math.prod(tail) * (base - 1) ** 2
+
+
+def _entry_dtype(field: FieldParams, K: int):
+    """The integer type of Haar rows mod pi^K: the narrowest of int16, int32
+    and int64 that holds a cell product (:func:`_product_bound`), int64 when
+    none does (a digit is below p <= 2^63), Python integers once p^K exceeds
+    int64."""
+    if _entry_shape(field, K)[0] > 2**63:
+        return object
+    top = _product_bound(field, K)
+    return np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64
+
+
+def _residues(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, by floor division: numpy divides a large int64 array by a
+    scalar several times faster than it takes ``%`` (on a few entries ``%``
+    is faster, so per-sample vectors keep it).  Equal to ``x % p`` on int64
+    (where x // p * p may wrap, the difference cannot, being below p) and on
+    Python integers."""
+    return x - x // p * p
+
+
 def _pow_mod_vec(base: np.ndarray, e: int, m: int) -> np.ndarray:
-    result = np.ones_like(base)
+    """base^e mod m entrywise, by left-to-right binary powering."""
     b = base % m
-    while e:
-        if e & 1:
+    result = b if e else np.ones_like(base)
+    for bit in bin(e)[3:]:
+        result = result * result % m
+        if bit == "1":
             result = result * b % m
-        b = b * b % m
-        e >>= 1
     return result
 
 
@@ -165,33 +193,37 @@ def _haar_rows(stream: RandomStream, field: FieldParams, n: int, r: int, K: int,
     matrices in GL(n, O_F), uniform on the r x n matrices of full residue
     rank.  Row k comes from ``stream.child(k)``, redrawn until it is
     independent mod pi of rows 0..k-1 (nonzero once reduced by their
-    echelon basis mod p), so it does not depend on r.  Entries are int64,
-    Python integers only when p^K exceeds the int64 range."""
+    echelon basis mod p), so it does not depend on r.  Entries have the
+    type of :func:`_entry_dtype`; residues are eliminated in int64."""
     p = field.p
     # residue products stay below (p-1)^2, and row k subtracts k of them from
     # its draw before reducing mod p: int64 holds both while (r-1)(p-1)^2 < 2^63
     if max(r - 1, 1) * (p - 1) ** 2 >= 2**63:
         raise TooLarge(f"p = {p} too large for int64 residue elimination of {r} rows")
-    base, tail = _entry_shape(field, K)
-    rows = np.empty((r, count, n) + tail, dtype=np.int64 if base <= 2**63 else object)
+    tail = _entry_shape(field, K)[1]
+    rows = np.empty((r, count, n) + tail, dtype=_entry_dtype(field, K))
     # echelon row t (mod p) is 0 at the pivots of rows < t; scale[t] inverts its own pivot entry
     basis = np.empty((r, count, n), dtype=np.int64)
     pivot, scale = np.empty((2, r, count), dtype=np.int64)
+    samples = np.arange(count)
     for k in range(r):
         sub = stream.child(k)
         todo, size = slice(None), count  # the first pass covers every sample
         while size:
             rows[k, todo] = draw = _uniform_window(field, sub, K, (size, n))
-            x = draw[..., 0] if tail else draw
+            x, at = (draw[..., 0] if tail else draw), samples[:size]
             for t in range(k):
-                lead = x[np.arange(size), pivot[t, todo]] % p * scale[t, todo] % p
+                lead = x[at, pivot[t, todo]] % p * scale[t, todo] % p
                 x = x - lead[:, None] * basis[t, todo]
-            x = (x % p).astype(np.int64, copy=False)  # Python integers past int64 become residues
+            if k or not tail:  # the digits of an F_p((t)) row 0 are residues already
+                x = _residues(x, p).astype(np.int64, copy=False)  # Python integers past int64 become residues
+            piv = (x != 0).argmax(axis=1)
+            head = x[at, piv]  # zero only on a zero row
             if k + 1 < r:  # later rows reduce against this one
                 basis[k, todo] = x
-                pivot[k, todo] = piv = (x != 0).argmax(axis=1)
-                scale[k, todo] = _pow_mod_vec(x[np.arange(size), piv], p - 2, p)
-            todo = np.arange(count)[todo][~x.any(axis=1)]
+                pivot[k, todo] = piv
+                scale[k, todo] = _pow_mod_vec(head, p - 2, p)
+            todo = samples[todo][head == 0]
             size = todo.size
     return rows.swapaxes(0, 1)
 

@@ -2,8 +2,11 @@
 copies written here: the Haar row sampler that re-runs ``invertible_mask``
 on rows 0..k for every candidate, and the per-pair trace form U, V whose
 phases are sum_f U_f V_f mod M (the sums taken over Python integers).
+The rows are stored in the narrowest integer type that holds a cell
+product, so both are also checked on either side of each type step.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,16 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonarch.errors import TooLarge
-from nonarch.field import FieldParams
+from nonarch.field import FieldParams, _is_prime
+from nonarch.matrices import MatF
 from nonarch.orbital import (
     _cell_weights,
     _check_window,
     _entry_shape,
     _gather,
     _haar_rows,
+    _pair_data,
     _paired_phases,
+    as_element,
     invertible_mask,
 )
+from nonarch.sampling import RandomStream, _residues, haar_gl
 
 SETTINGS = settings(max_examples=80)
 BIG_P = 1048573  # the largest prime below 2^20
@@ -59,6 +66,18 @@ def ref_trace_form(field, pairs, K, g1, g2):
             U.append(g1[:, i, j, beta])
             V.append(g2[:, i, j, : m - beta] @ np.array(unit[m - beta - 1 :: -1]) % p)
     return np.stack(U, axis=1), np.stack(V, axis=1), p
+
+
+def ref_pair_data(field, D, A):
+    """One product a_i x_j per cell, in row-major order."""
+    pairs = []
+    for i, a in enumerate(A):
+        for j, x in enumerate(D):
+            prod = a * x
+            if not prod.is_zero() and prod.ord < 0:
+                m = -prod.ord
+                pairs.append((i, j, m, prod.unit % field.p**m if field.family == "padic" else prod.digits[:m]))
+    return pairs
 
 
 def ref_phase_ints(field, pairs, K, g1, g2):
@@ -154,6 +173,72 @@ def test_haar_rows_bound_the_products_a_row_subtracts():
     assert np.array_equal(rows, ref_haar_rows(ScriptedStream(first, 5), field, 3, 2, 1, 50))
 
 
+# -- the argument products ----------------------------------------------------------
+
+
+@SETTINGS
+@given(
+    st.sampled_from(["padic", "laurent"]),
+    st.lists(st.one_of(st.none(), st.integers(-1, 3), st.tuples(st.integers(-3, 0), st.integers(1, 8))), min_size=1, max_size=6),
+    st.lists(st.one_of(st.none(), st.integers(-1, 3)), min_size=1, max_size=3),
+)
+def test_pair_data_shares_products_of_equal_entries(family, D, A):
+    # entries of equal value are separate objects; an (ord, n) entry is pi^ord (1 + n pi)
+    field = FieldParams(family, 3, 12)
+
+    def element(v):
+        return field.from_base_p(1 + 3 * v[1], v[0]) if isinstance(v, tuple) else as_element(field, v)
+
+    D, A = [element(v) for v in D], [element(v) for v in A]
+    pairs, K = _pair_data(field, D, A)
+    assert pairs == ref_pair_data(field, D, A)
+    assert K == max([0] + [m for _, _, m, _ in pairs])
+
+
+# -- the floor-division residues ----------------------------------------------------
+
+# the largest primes that the _haar_rows guard (r-1)(p-1)^2 < 2^63 admits, by r
+GUARD_P = {2: 3037000493, 3: 2147483647}
+
+
+def test_guard_primes_are_the_largest_admitted():
+    for r, p in GUARD_P.items():
+        assert (r - 1) * (p - 1) ** 2 < 2**63
+        _haar_rows(ScriptedStream([None] * r, 1), FieldParams("padic", p, 1), r, r, 1, 1)
+        above = next(q for q in itertools.count(p + 1) if _is_prime(q))
+        with pytest.raises(TooLarge):
+            _haar_rows(ScriptedStream([None] * r, 1), FieldParams("padic", above, 1), r, r, 1, 1)
+
+
+# the ends of int64 and of the values row r - 1 reaches before its reduction
+EDGES = [-(2**63), -(2**63) + 1, 2**63 - 1, -1, 0] + [
+    v for r, p in GUARD_P.items() for low in (-(r - 1) * (p - 1) ** 2,) for v in (low, low + 1, low - p)
+]
+MODULI = [2, 3, 53, 46337, BIG_P, 2147483659] + list(GUARD_P.values())
+
+
+@SETTINGS
+@given(
+    st.sampled_from(MODULI) | st.integers(2, 2**62),
+    st.lists(st.sampled_from(EDGES) | st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40),
+)
+def test_residues_equal_mod_on_int64(p, values):
+    x = np.array(values, dtype=np.int64)
+    got = _residues(x, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == (x % p).tolist() == [v % p for v in values]
+
+
+@SETTINGS
+@given(
+    st.sampled_from(MODULI) | st.integers(2, 2**80),
+    st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=20),
+)
+def test_residues_equal_mod_on_python_integers(p, values):
+    x = np.array(values, dtype=object)
+    assert _residues(x, p).tolist() == (x % p).tolist() == [v % p for v in values]
+
+
 # -- the fused phase kernel --------------------------------------------------------
 
 
@@ -234,6 +319,55 @@ def test_paired_phases_at_wide_windows(family, p, K):
     got = _paired_phases(field, K, W, _gather(g1, I, J), _gather(g2, I, J))
     assert got[0].tolist() == ref_phase_ints(field, pairs, K, g1, g2).tolist()
     assert got[1].tolist() == ref_phase_ints(field, pairs[:1], K, g1, g2).tolist()
+
+
+# -- narrow row types ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p, K, dtype",
+    [
+        (53, 12, np.int16),  # 12 * 52^2 = 32448 < 2^15
+        (53, 13, np.int32),
+        (46337, 1, np.int32),  # 46336^2 < 2^31
+        (46337, 2, np.int64),
+    ],
+)
+def test_narrow_rows_and_phases_match_references(p, K, dtype):
+    field = FieldParams("laurent", p, 40)
+    n, r, count = 3, 2, 30
+    draws = []
+    for seed in (7, 8):
+        # row 0 at its largest digits, so a digit convolution reaches K (p-1)^2
+        first = [np.full((count, n, K), p - 1), None]
+        rows = _haar_rows(ScriptedStream(first, seed), field, n, r, K, count)
+        assert rows.dtype == dtype
+        assert np.array_equal(rows, ref_haar_rows(ScriptedStream(first, seed), field, n, r, K, count))
+        draws.append(rows)
+    top = (p - 1,) * K
+    pair_lists = [[(i, j, K, top) for i in range(r) for j in range(n)], [(1, 2, 1, (1,)), (0, 0, K, top)]]
+    I, J, W = _cell_weights(field, pair_lists, K)
+    g1, g2 = draws
+    for a, b in ((g1, g2), (g1, g1)):
+        got = _paired_phases(field, K, W, _gather(a, I, J), _gather(b, I, J))
+        for row, pairs in zip(got, pair_lists):
+            assert row.tolist() == ref_phase_ints(field, pairs, K, a, b).tolist()
+
+
+def test_haar_gl_keeps_digits_past_int32():
+    # the least prime above 2^31: a digit may not fit int32, so rows stay int64
+    field = FieldParams("laurent", 2147483659, 3)
+    stream = RandomStream(5).child("g")
+    rows = _haar_rows(stream, field, 2, 2, 3, 1)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, ref_haar_rows(stream, field, 2, 2, 3, 1))
+    entries = [field.element(0, list(v)) for v in rows[0].reshape(-1, 3)]
+    assert haar_gl(stream, field, 2) == MatF(field, 2, 2, entries)
+    # digits p - 1 > 2^31 come back unchanged
+    first = [np.full((4, 2, 3), field.p - 1), None]
+    rows = _haar_rows(ScriptedStream(first, 3), field, 2, 2, 3, 4)
+    assert (rows[:, 0] == field.p - 1).all()
+    assert np.array_equal(rows, ref_haar_rows(ScriptedStream(first, 3), field, 2, 2, 3, 4))
 
 
 # -- the window guard ---------------------------------------------------------------
