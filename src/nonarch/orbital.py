@@ -29,6 +29,9 @@ the brute force that is also the kernel oracle :func:`theta_bruteforce`.
 The corner estimator :func:`measure_charfun_batch` reuses the contraction,
 weighting the corner draw by the coefficients of ``sampling._corner_law``,
 the one validated term list that :func:`generator_diagonal` also reads.
+Each chunk of corners is drawn in blocks of samples, on the same streams as
+one draw of the chunk, and only the diagonal of each block's Haar tail is
+kept, so no chunk holds the whole (count, n, n[, window]) tail.
 
 Error bounds: writing x = prod_{w<r} (1 - q^{w-n}) (the full-rank fraction
 of r x n digit matrices), the comparison of the integral with the kernel
@@ -276,9 +279,12 @@ def _mc_estimates(
     field: FieldParams, pair_lists, K: int, n_samples: int, rng: RandomStream, draw_rows
 ) -> list[McEstimate]:
     """Average the integrand of each pair list over ``n_samples`` row draws,
-    chunk by chunk; ``draw_rows(c, count)`` returns the (g1, g2) of chunk c.
-    Each chunk gathers the cells that any list reads once and contracts them
-    against every list's weights; an empty list has the integrand 1."""
+    chunk by chunk; ``draw_rows(c, count)`` yields the (g1, g2) of chunk c in
+    blocks of consecutive samples (the Haar rows in one block, the corners in
+    blocks of ``sampling._CORNER_BLOCK`` entries).  Each block gathers the
+    cells that any list reads once and contracts them against every list's
+    weights into the chunk's phase integers, whose phases are then summed
+    chunk by chunk; an empty list has the integrand 1."""
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
     I, J, W = _cell_weights(field, pair_lists, K)
@@ -286,12 +292,15 @@ def _mc_estimates(
     accs = [_Acc() for _ in pair_lists]
     # when no list reads a cell, nothing is drawn
     for c, start in enumerate(range(0, n_samples if len(I) else 0, _CHUNK)):
-        g1, g2 = draw_rows(c, min(_CHUNK, n_samples - start))
-        a = _gather(g1, I, J)
-        b = a if g2 is g1 else _gather(g2, I, J)
-        del g1, g2  # free this chunk's draws before the next one is drawn
-        phases = _paired_phases(field, K, W, a, b)
-        del a, b
+        count = min(_CHUNK, n_samples - start)
+        phases, done = np.empty((len(pair_lists), count), dtype=np.int64), 0
+        for g1, g2 in draw_rows(c, count):
+            a = _gather(g1, I, J)
+            b = a if g2 is g1 else _gather(g2, I, J)
+            del g1, g2  # free the block's draws before its phases are computed
+            phases[:, done : done + a.shape[-1]] = _paired_phases(field, K, W, a, b)
+            done += a.shape[-1]
+            del a, b
         for acc, k in zip(accs, phases):
             acc.add(_phases(k, M))
     return [acc.finalize(rng.seed) if acc.n else McEstimate(1 + 0j, 0.0, n_samples, rng.seed) for acc in accs]
@@ -328,11 +337,14 @@ def mc_orbital_multi(
     r = max((_rows_read(pairs) for pairs in pair_lists if pairs), default=0)
 
     def draw_rows(c: int, count: int):
+        # one block per chunk: a row's redraws need its whole first pass.  No
+        # name here holds the rows once yielded (congruence yields one array
+        # twice), so _mc_estimates can free them
         sub = rng.child("mc", c)
         if kind == KIND_TWO_SIDED:
-            return tuple(_haar_rows(sub.child(g), field, n, r, K, count) for g in ("g1", "g2"))
-        g = _haar_rows(sub.child("g"), field, n, r, K, count)
-        return g, g
+            yield tuple(_haar_rows(sub.child(g), field, n, r, K, count) for g in ("g1", "g2"))
+        else:
+            yield (_haar_rows(sub.child("g"), field, n, r, K, count),) * 2
 
     return _mc_estimates(field, pair_lists, K, n_samples, rng, draw_rows)
 
@@ -598,23 +610,22 @@ def _chi_trace(terms, M: MatF) -> complex:
 
 
 def _corner_rows(field: FieldParams, param, n: int, count: int, window: int, stream: RandomStream):
-    """Rows g1, g2 of shape (count, r, n[, window]) of the corner draw of
-    :func:`sampling._corner_draws`, with the corner diagonal
+    """Rows g1, g2 of shape (s, r, n[, window]) of each block of s samples of
+    the corner draw :func:`sampling._corner_draws`, with the corner diagonal
     c_jj = sum_i c_i g1[:, i, j] g2[:, i, j] for the coefficients c of
     :func:`_corner_coefficients`.  Row t holds X_t and Y_t of rank-one term t
     (congruence family: X_t twice); a last row holds the diagonal of the
     Haar tail Z (resp. H) against the constant 1."""
-    terms, haar = _corner_draws(field, param, n, count, window, stream)
-    g1, g2 = [X for _, _, X, _ in terms], [Y for _, _, _, Y in terms]
-    if haar is not None:
-        diag = np.arange(n)
-        g1.append(haar[1][:, diag, diag])
-        del haar  # only the diagonal of the tail outlives the stacking below
-        # the entry 1: one integer over Q_p, the digits (1, 0, ..) over F_p((t))
-        tail = _entry_shape(field, window)[1]
-        one = np.eye(1, math.prod(tail), dtype=np.int64).reshape(tail)
-        g2.append(np.broadcast_to(one, g1[-1].shape))
-    return np.stack(g1, axis=1), np.stack(g2, axis=1)
+    # the entry 1: one integer over Q_p, the digits (1, 0, ..) over F_p((t))
+    tail = _entry_shape(field, window)[1]
+    one = np.eye(1, math.prod(tail), dtype=np.int64).reshape(tail)
+    diag = np.arange(n)
+    for terms, haar in _corner_draws(field, param, n, count, window, stream):
+        g1, g2 = [X for _, _, X, _ in terms], [Y for _, _, _, Y in terms]
+        if haar is not None:
+            g1.append(haar[1][:, diag, diag])
+            g2.append(np.broadcast_to(one, g1[-1].shape))
+        yield np.stack(g1, axis=1), np.stack(g2, axis=1)
 
 
 def _corner_coefficients(field: FieldParams, param) -> list[FieldElement]:

@@ -17,9 +17,9 @@ orbital integrals read its first rows, :func:`haar_gl` is its one-sample
 view and :func:`orbital_push` draws its g1 and g2 as two samples of it.
 The corner of a measure-family parameter is one validated term list,
 :func:`_corner_law`: :func:`_corner_draws` draws its variables, one stream
-per path, :func:`sample_corner` is the one-sample view of that draw, and
-``orbital.measure_charfun_batch`` and ``orbital.generator_diagonal`` read
-its coefficients.
+per path, in blocks of samples, :func:`sample_corner` is the one-sample
+view of that draw, and ``orbital.measure_charfun_batch`` and
+``orbital.generator_diagonal`` read its coefficients.
 """
 
 from __future__ import annotations
@@ -245,6 +245,8 @@ def haar_gl(rng: RandomStream, params: FieldParams, n: int) -> MatF:
 # measure-family corners
 # ---------------------------------------------------------------------------
 
+_CORNER_BLOCK = 1 << 16  # entries of the largest corner variable per sample block
+
 
 def _corner_law(field: FieldParams, param):
     """The corner of ``param`` as plain integers and stream paths: rank-one
@@ -269,20 +271,26 @@ def _corner_law(field: FieldParams, param):
 def _corner_draws(field: FieldParams, param, n: int, count: int, window: int, stream: RandomStream):
     """Every variable of ``count`` corners of ``param`` mod pi^window, each
     from its own stream of :func:`_corner_law` (integers below p^window over
-    Q_p, digits on a trailing axis over F_p((t))): rank-one terms
-    (k, c, X, Y), X and Y of shape (count, n[, window]) and one array when
-    their paths agree, and the Haar tail (k, Z), Z of shape
-    (count, n, n[, window]), or None for a -inf tail."""
+    Q_p, digits on a trailing axis over F_p((t))), yielded block by block of
+    samples: per block of s samples, rank-one terms (k, c, X, Y), X and Y of
+    shape (s, n[, window]) and one array when their paths agree, and the Haar
+    tail (k, Z), Z of shape (s, n, n[, window]), or None for a -inf tail.
 
-    def draw(*path, shape=(n,)):
-        return _uniform_window(field, stream.child(*path), window, (count,) + shape)
-
+    A block holds the most samples whose largest variable fits
+    ``_CORNER_BLOCK`` entries (at least one sample).  Each stream is keyed
+    once and drawn block after block; numpy draws sequentially, so block b
+    holds samples [b s, (b + 1) s) of one draw of all ``count`` samples."""
     law, tail = _corner_law(field, param)
-    terms = []
-    for k, c, x_path, y_path in law:
-        X = draw(*x_path)
-        terms.append((k, c, X, X if y_path == x_path else draw(*y_path)))
-    return terms, None if tail is None else (tail[0], draw(tail[1], shape=(n, n)))
+    shapes = {path: (n,) for _, _, x_path, y_path in law for path in (x_path, y_path)}
+    if tail is not None:
+        shapes[(tail[1],)] = (n, n)
+    streams = {path: stream.child(*path) for path in shapes}
+    step = max(1, _CORNER_BLOCK // (n * (n if tail else 1) * math.prod(_entry_shape(field, window)[1])))
+    for start in range(0, count, step):
+        size = min(step, count - start)
+        drawn = {path: _uniform_window(field, streams[path], window, (size,) + shape) for path, shape in shapes.items()}
+        haar = None if tail is None else (tail[0], drawn[(tail[1],)])
+        yield [(k, c, drawn[x], drawn[y]) for k, c, x, y in law], haar
 
 
 def sample_corner(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
@@ -291,8 +299,8 @@ def sample_corner(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
     eps-twisted ones) plus the Haar tail pi^-k Z (resp. symmetric H, read
     on i <= j).
 
-    One sample of the corner draw (:func:`_corner_draws` at count 1 and
-    window = precision).  Entry (i, j) is the sum of its terms mod pi^A, A
+    The one block of the corner draw at count 1 and window = precision
+    (:func:`_corner_draws`).  Entry (i, j) is the sum of its terms mod pi^A, A
     the least of ord(term) + precision over its nonzero terms: O(pi^A) when
     the sum cancels there, the exact zero when every term is zero.  Each
     entry is summed as an exact integer, all terms scaled by pi^kmax: over
@@ -302,7 +310,7 @@ def sample_corner(field: FieldParams, param, n: int, rng: RandomStream) -> MatF:
     field's own unit slots.
     """
     p, N, padic = field.p, field.precision, field.family == "padic"
-    terms, haar = _corner_draws(field, param, n, 1, N, rng)
+    ((terms, haar),) = _corner_draws(field, param, n, 1, N, rng)
     kmax = max([0] + [k for k, _, _, _ in terms] + ([haar[0]] if haar else []))
     # a slot sums N digit products times c < p per rank-one term, plus a tail digit
     slot = _slot_layout((len(terms) + 1) * N * (p - 1) ** 3 + p)

@@ -5,6 +5,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -27,6 +28,7 @@ from nonarch.orbital import (
     measure_charfun_batch,
 )
 from nonarch.params import DeltaParam, OmegaParam
+from nonarch import sampling
 from nonarch.sampling import (
     KIND_CONGRUENCE,
     KIND_TWO_SIDED,
@@ -34,6 +36,7 @@ from nonarch.sampling import (
     _corner_draws,
     _element,
     _haar_rows,
+    _uniform_window,
     haar_gl,
     orbital_push,
     sample_corner,
@@ -187,6 +190,28 @@ def test_draws_refuse_residues_past_int64(family):
         uniform_integer(field, RandomStream(1))
     with pytest.raises(TooLarge):
         haar_gl(RandomStream(1), field, 2)
+
+
+@pytest.mark.parametrize(
+    "spec, K",
+    [
+        (("padic", 3, 12), 12),  # bound 3^12 below 2^32: 32-bit draws, half a 64-bit word buffered
+        (("padic", 3, 30), 30),  # bound 3^30 above 2^32: 64-bit draws
+        (("laurent", 3, 12), 11),  # digit windows on a trailing axis
+        (("laurent", 7, 12), 12),
+        (("padic", 5, 30), 30),  # 5^30 > 2^63: digits combined into Python integers
+    ],
+)
+def test_split_draws_continue_one_draw(spec, K):
+    # the corner blocks (and any later split of a stream) rest on this numpy
+    # property: drawing sizes a then b from one stream draws the a + b
+    # entries of one draw of size a + b.  NEP 19 promises no stable streams
+    field = FieldParams(*spec)
+    for a, b in ((1, 2), (3, 5), (7, 1), (2, 6)):  # odd entry counts leave a 32-bit half buffered
+        split, whole = RandomStream(83).child(a, b), RandomStream(83).child(a, b)
+        parts = [_uniform_window(field, split, K, (size, 3)) for size in (a, b)]
+        assert np.array_equal(np.concatenate(parts), _uniform_window(field, whole, K, (a + b, 3)))
+        assert np.array_equal(_uniform_window(field, split, K, (1,)), _uniform_window(field, whole, K, (1,)))
 
 
 # -- Haar on GL -----------------------------------------------------------------
@@ -450,11 +475,46 @@ def test_batch_sampler_padic_draws_pinned(monkeypatch, q3):
             assert abs(est.mean - value) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "param",
+    [DeltaParam((2, 1), -1), DeltaParam((1, 0), None), OmegaParam(-1, (1,), (0,)), OmegaParam(None, (1,), (0,))],
+)
+def test_corner_blocks_do_not_move_the_estimates(monkeypatch, q3, l3, param):
+    # one sample per block, the default blocks and one block per chunk draw
+    # the same samples, so every estimate is bit-identical; 1030 samples
+    # cross the boundary of 1024-sample chunks
+    monkeypatch.setattr(orbital, "_CHUNK", 1024)
+    for field in (q3, l3):
+        x = field.uniformizer_pow(-1)
+        probes = [[x], [field.one(), field.uniformizer_pow(-2)], [field.zero(), x, field.eps().shift(-1)]]
+        runs = []
+        for block in (sampling._CORNER_BLOCK, 1, 1 << 40):
+            monkeypatch.setattr(sampling, "_CORNER_BLOCK", block)
+            runs.append(measure_charfun_batch(field, param, 3, 1030, probes, RandomStream(89).child(repr(param))))
+        assert runs[0] == runs[1] == runs[2]
+        assert [e.n_samples for e in runs[0]] == [1030] * 3
+
+
+def test_corner_batch_memory_is_one_block(l3):
+    # the F_3((t)) tail of 16384 corners at n = 6 is 16384 x 6 x 6 x 11 int64,
+    # 52 MB in one draw; drawn in blocks, the batch's traced peak stays far below
+    probes = [[l3.uniformizer_pow(-ell)] for ell in range(-2, 4)]
+    args = (l3, DeltaParam((2, 1), -1), 6, 16384, probes, RandomStream(97))
+    measure_charfun_batch(*args)  # the first call fills the field's caches
+    tracemalloc.start()
+    try:
+        measure_charfun_batch(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def _reference_corner(field, param, n, rng):
     """The corner entries, row by row, accumulated term by term in
     FieldElement arithmetic over the variables the batched draw gives at
     count 1, window = precision."""
-    terms, haar = _corner_draws(field, param, n, 1, field.precision, rng)
+    ((terms, haar),) = _corner_draws(field, param, n, 1, field.precision, rng)
     acc = [[field.zero()] * n for _ in range(n)]
     for k, c, X, Y in terms:
         for i, j in product(range(n), repeat=2):
@@ -539,7 +599,7 @@ def test_corner_diagonal_is_the_batch_diagonal(spec, param):
     field, n = FieldParams(*spec), 4
     rng = RandomStream(67).child("diag")
     corner = sample_corner(field, param, n, rng)
-    g1, g2 = _corner_rows(field, param, n, 1, field.precision, rng)
+    ((g1, g2),) = _corner_rows(field, param, n, 1, field.precision, rng)
     coefficients = generator_diagonal(field, param, g1.shape[1])
     for j in range(n):
         c = field.zero()
