@@ -26,6 +26,13 @@ congruence kind over a dyadic field, where the square identity behind the
 tables needs p odd: there the tables are enumerated by :func:`_lift_tables`,
 the brute force that is also the kernel oracle :func:`theta_bruteforce`.
 
+Every phase exp(2 pi i k / M) is a gather from a table of the M-th roots of
+unity for M up to ``_PHASE_TABLE`` (:func:`_phases`), bit for bit the value
+the expression gives.  That table and the other constants that depend only
+on small integers (full-rank fractions, the subspace lattice, its counts
+and shares, the depth-1 residue grids) are built once per key and cached
+read-only; nothing is cached by argument, draw or result.
+
 The corner estimator :func:`measure_charfun_batch` reuses the contraction,
 weighting the corner draw by the coefficients of ``sampling._corner_law``,
 the one validated term list that :func:`generator_diagonal` also reads.
@@ -65,6 +72,7 @@ from .sampling import (
 _EXACT_ENUM_GUARD = 8_000_000
 _CHUNK = 16384  # Haar draws per Monte Carlo chunk
 _MOBIUS_BLOCK = 1 << 18  # entries per block of the exact oracle's Moebius sum
+_PHASE_TABLE = 1 << 16  # the largest modulus whose roots of unity are tabulated
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +156,10 @@ def _pair_data(field: FieldParams, D, A):
         for j, x in enumerate(D):
             if twin[j] < j:
                 cell = cells[twin[j]]
+            elif a.ord + x.ord >= 0:  # ord is additive: a x is 0 or lies in O_F
+                continue
             else:
                 prod = a * x
-                if prod.is_zero() or prod.ord >= 0:
-                    continue
                 m = -prod.ord
                 if prod.rel < m:
                     raise InsufficientPrecision(f"argument product stores {prod.rel} digits; chi needs {m}")
@@ -267,8 +275,21 @@ def _paired_phases(field: FieldParams, K: int, W: np.ndarray, a: np.ndarray, b: 
     return np.stack([(w[:, None] * s % M).sum(axis=0) % M for w in W.T])
 
 
+@functools.lru_cache(maxsize=32)
+def _roots_of_unity(M: int) -> np.ndarray:
+    """The M-th roots of unity exp(2 pi i k / M), k < M, read-only."""
+    table = np.exp(2j * np.pi * np.arange(M) / M)
+    table.flags.writeable = False
+    return table
+
+
 def _phases(k: np.ndarray, M: int) -> np.ndarray:
-    return np.exp(2j * np.pi * k / M)
+    """exp(2 pi i k / M) for integers 0 <= k < M, bit for bit: a gather from
+    the table :func:`_roots_of_unity` for M up to ``_PHASE_TABLE``, the
+    expression itself above it."""
+    if M > _PHASE_TABLE:
+        return np.exp(2j * np.pi * k / M)
+    return _roots_of_unity(M)[k]
 
 
 def _rows_read(pairs) -> int:
@@ -364,13 +385,11 @@ def product_formula(field: FieldParams, kind: str, D, A) -> CharValue:
     return charvalue_product(theta_closed(a * x, kernel) for a in A for x in D)
 
 
+@functools.lru_cache(maxsize=256)
 def full_rank_fraction(n: int, r: int, q: int) -> Fraction:
-    """x = prod_{w<r} (1 - q^(w-n)): the fraction of r x n digit matrices of
-    full residue rank."""
-    x = Fraction(1)
-    for w in range(r):
-        x *= 1 - Fraction(1, q ** (n - w))
-    return x
+    """x = prod_{w<r} (1 - q^(w-n)) = prod_{w<r} (q^(n-w) - 1) / q^(n-w): the
+    fraction of r x n digit matrices of full residue rank."""
+    return Fraction(math.prod(q ** (n - w) - 1 for w in range(r)), q ** sum(n - w for w in range(r)))
 
 
 @dataclass(frozen=True)
@@ -463,12 +482,11 @@ def _cell_tables(field: FieldParams, kind: str, pairs) -> np.ndarray:
     q, f = field.q, 2 if kind == KIND_TWO_SIDED else 1
     if f == 1 and field.is_dyadic:
         return _lift_tables(field, pairs, max(m for _, _, m, _ in pairs), 1)
-    d = np.arange(q)
-    y = (np.multiply.outer(d, d) if f == 2 else d * d) % q  # below q, so u0 y fits int64
     # the unit's lowest digit: the integer mod p over Q_p, the first stored
     # digit over F_p((t))
-    lowest = np.array([np.ravel(unit)[0] for _, _, _, unit in pairs]) % q
-    tables = _phases(np.multiply.outer(lowest, y) % q, q)
+    padic = field.family == "padic"
+    lowest = np.array([unit if padic else unit[0] for _, _, _, unit in pairs]) % q
+    tables = _phases(np.multiply.outer(lowest, _residue_grid(q, f)) % q, q)
     for table, (_, _, m, _) in zip(tables, pairs):
         if m > 1:
             theta = q ** (-f * ((m - 2) // 2)) * (table.mean() if m % 2 else 1)
@@ -477,6 +495,18 @@ def _cell_tables(field: FieldParams, kind: str, pairs) -> np.ndarray:
     return tables
 
 
+@functools.lru_cache(maxsize=16)
+def _residue_grid(q: int, f: int) -> np.ndarray:
+    """The depth-1 residue grid y of :func:`_cell_tables`, read-only: d1 d2
+    mod q over the residue pairs (f = 2), d^2 mod q over the residues
+    (f = 1).  Its entries are below q, so u0 y fits int64."""
+    d = np.arange(q)
+    y = (np.multiply.outer(d, d) if f == 2 else d * d) % q
+    y.flags.writeable = False
+    return y
+
+
+@functools.lru_cache(maxsize=64)
 def _subspace_count(q: int, r: int) -> int:
     """The number of subspaces of F_q^r: the sum over k of the Gaussian
     binomials [r choose k]_q."""
@@ -513,6 +543,25 @@ def _subspace_lattice(q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     P, mu = np.concatenate(P), np.array(mu, dtype=float)
     P.flags.writeable = mu.flags.writeable = False
     return P, mu
+
+
+@functools.lru_cache(maxsize=16)
+def _subspace_shares(q: int, r: int) -> np.ndarray:
+    """|W| / q^r for each subspace W of :func:`_subspace_lattice`, read-only."""
+    share = _subspace_lattice(q, r)[0].sum(axis=1) / q**r
+    share.flags.writeable = False
+    return share
+
+
+def _kronecker(F: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The Kronecker product table (x) F, each axis indexed by the residue of
+    the table's factor ahead of F's: folded over a column's tables, it has
+    the rows u = sum_i u_i q^i of :func:`exact_orbital_integral`.  einsum
+    multiplies complex numbers as (ac - bd, ad + bc) on every host; numpy's
+    multiply ufunc fuses that into multiply-adds where the CPU has them,
+    which moves the last bits of the oracle's values."""
+    subscripts = "a,b->ba" if table.ndim == 1 else "ab,cd->cadb"
+    return np.einsum(subscripts, F, table).reshape((len(F) * len(table),) * table.ndim)
 
 
 def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> complex:
@@ -559,18 +608,15 @@ def exact_orbital_integral(field: FieldParams, kind: str, D, A, level: int) -> c
     columns, unread = {}, np.ones((q,) * f)
     for (i, j, _, _), table in zip(pairs, _cell_tables(field, kind, pairs)):
         columns.setdefault(j, [unread] * r)[i] = table
-    # F_j = the Kronecker product of the column's tables, row u = sum_i u_i q^i:
-    # einsum axis i + r k holds digit i of the residue of factor k
-    axes = [[i + r * k for k in range(f)] for i in range(r)]
-    digits = [axis[k] for k in range(f) for axis in axes[::-1]]
-    Fs = [np.einsum(*itertools.chain(*zip(tables, axes)), digits).reshape((q**r,) * f) for tables in columns.values()]
-    share = P.sum(axis=1) / q**r  # |W| / q^r
+    # F_j = the Kronecker product of the column's tables, row u = sum_i u_i q^i
+    Fs = [functools.reduce(_kronecker, tables) for tables in columns.values()]
+    share = _subspace_shares(q, r)
     total = 0j
     # blocks of W (of W1 for pairs): a row of E has len(P)^(f - 1) entries
     step = max(1, _MOBIUS_BLOCK // len(P) ** (f - 1))
     for start in range(0, len(P), step):
         rows = slice(start, start + step)
-        E = (share[rows] if f == 1 else np.outer(share[rows], share)) ** (n - len(Fs))
+        E = (share[rows] if f == 1 else share[rows, None] * share) ** (n - len(Fs))
         for F in Fs:
             E = E * (P[rows] @ F @ P.T if f == 2 else P[rows] @ F) / q ** (f * r)
         total += mu[rows] @ E @ mu if f == 2 else mu[rows] @ E

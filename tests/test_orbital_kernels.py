@@ -3,7 +3,9 @@ copies written here: the Haar row sampler that re-runs ``invertible_mask``
 on rows 0..k for every candidate, and the per-pair trace form U, V whose
 phases are sum_f U_f V_f mod M (the sums taken over Python integers).
 The rows are stored in the narrowest integer type that holds a cell
-product, so both are also checked on either side of each type step.
+product, so both are also checked on either side of each type step.  The
+phases themselves are gathered from a table of roots of unity, checked bit
+for bit against the expression they replace.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from nonarch.errors import TooLarge
 from nonarch.field import FieldParams, _is_prime
 from nonarch.matrices import MatF
 from nonarch.orbital import (
+    _PHASE_TABLE,
     _cell_weights,
     _check_window,
     _entry_shape,
@@ -25,6 +28,7 @@ from nonarch.orbital import (
     _haar_rows,
     _pair_data,
     _paired_phases,
+    _phases,
     as_element,
     invertible_mask,
 )
@@ -389,3 +393,19 @@ def test_window_guard_bound(field, K_max):
     _check_window(field, K_max)
     with pytest.raises(TooLarge):
         _check_window(field, K_max + 1)
+
+
+# -- the phase table ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("M", [2, 3, 81, 3**10, 5**6, 17**3, _PHASE_TABLE, _PHASE_TABLE + 1])
+def test_phases_equal_the_expression_bit_for_bit(M):
+    # every residue once (1-D), then a (lists, count) block of drawn residues
+    # with both ends (2-D), as _mc_estimates reads them
+    rng = np.random.default_rng(M)
+    for k in (np.arange(M, dtype=np.int64), rng.integers(0, M, size=(3, 4099), dtype=np.int64)):
+        if k.ndim == 2:
+            k[0, :2] = 0, M - 1
+        got, want = _phases(k, M), np.exp(2j * np.pi * k / M)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
