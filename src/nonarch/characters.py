@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable
 
 from .errors import InsufficientPrecision
@@ -91,12 +91,7 @@ class CharValue:
 
 
 def charvalue_product(values: Iterable[CharValue]) -> CharValue:
-    out = CharValue.one()
-    for v in values:
-        out = out.mul(v)
-        if out.is_zero():
-            return out
-    return out
+    return reduce(CharValue.mul, values, CharValue.one())
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ leading digit, residue below ord 1, absolute value or square class) raises
 Storage and cost: a unit with digits d_0..d_{rel-1} is the integer
 sum d_i D^i: D = p over Q_p; over F_p((t)), D = 2^(8 * slot bytes), one
 Kronecker slot per digit, wide enough that no coefficient sum of a product
-carries.  Both families add, negate and multiply by the same few big-int
-operations, F_p((t)) then reducing each slot mod p.  :class:`FieldParams`
-caches ``zero()``, ``one()``, the powers of D and the residue square roots.
+carries.  Sums, negations, products, inverses and integer imports of units
+are the operations of ``FieldParams._ring``, cached per field with ``zero()``,
+``one()`` and the residue square roots; over F_p((t)) slots reduce mod p.
 
 All values are immutable and hashable; operations are pure functions.
 """
@@ -175,21 +175,24 @@ class FieldParams:
 
     @cached_property
     def _ring(self) -> tuple:
-        """(pows, negs, fix_sum, fix_prod) of the unit integers sum d_i D^i:
-        pows[k] = D^k, negs[k] - u = -u mod pi^k, and the finishers turn a raw
-        sum or negation (fix_sum) and a raw product (fix_prod) mod D^rel back
-        into a unit: the identity over Q_p (D = p), else :func:`_reduce_slots`."""
+        """(pows, negs, fix_sum, fix_prod, invert, import_p, image): the one place
+        that decides how a unit sum d_i D^i is stored.  pows[k] = D^k, negs[k] - u
+        = -u mod pi^k; fix_sum and fix_prod turn a raw sum or negation and a raw
+        product mod D^rel into a unit (the identity over Q_p, D = p); invert(u, rel)
+        is 1/u mod pi^rel; import_p(n) is the unit of the base-p digits of n below
+        p^precision; image(n) = n over Q_p, n mod p (int.__rmod__) over F_p((t))."""
         p, top = self.p, range(self.precision + 1)
         if self.family == "padic":
             pows = tuple(p**k for k in top)
-            return pows, pows, pos, pos
+            return pows, pows, pos, pos, partial(_invert_mod, pows), pos, pos
         b, bound = 8 * self._slot[1], self.precision * (p - 1) ** 2
         pows = tuple(1 << b * k for k in top)
         ones = (pows[-1] - 1) // (pows[1] - 1)  # 1 in every slot
         # D/2 - p 2^j in every slot: adding it sets the free top bit of each slot holding p 2^j or more
         lifts = tuple((ones << b - 1) - (p << j) * ones for j in range(max(1, (bound // p).bit_length())))
         fix_sum, fix_prod = (partial(_reduce_slots, p, b, ones, lifts[:n]) for n in (1, None))  # sums: slots < 2p
-        return pows, tuple(p * (ones % P) for P in pows), fix_sum, fix_prod
+        negs, import_p = tuple(p * (ones % P) for P in pows), partial(_slots_of, p, self.precision, self._slot)
+        return pows, negs, fix_sum, fix_prod, partial(_invert_slots, p, pows), import_p, p.__rmod__
 
     @cached_property
     def _slot(self) -> tuple[str | None, int]:
@@ -216,7 +219,7 @@ class FieldParams:
     def from_int(self, n: int) -> "FieldElement":
         """The image of the rational integer n.  Exact in Q_p; reduced mod p
         to a constant in F_p((t))."""
-        return self.from_base_p(n if self.family == "padic" else n % self.p)
+        return self.from_base_p(self._ring[6](n))  # image
 
     def from_base_p(self, n: int, ord: int = 0) -> "FieldElement":
         """pi^ord * (d_0 + d_1 pi + ...) for the base-p digits d_i of n, taken
@@ -225,10 +228,7 @@ class FieldParams:
         if n == 0:
             return self._zero
         v = _vp(n, self.p)
-        unit = n // self.p**v % self.p**self.precision
-        if self.family == "laurent":
-            unit = _to_slots(_base_digits(unit, self.p, self.precision), self._slot)
-        return FieldElement(self, ord + v, unit, self.precision)
+        return FieldElement(self, ord + v, self._ring[5](n // self.p**v % self.p**self.precision), self.precision)
 
     def element(self, ord: int, digits) -> "FieldElement":
         """Element pi^ord * (d_0 + d_1 pi + ...) from an explicit digit list,
@@ -357,13 +357,13 @@ class FieldElement:
         w = min(lo.rel, off + hi.rel)  # known digits of the sum above pi^v
         if off >= w:  # then w = lo.rel: hi lies wholly below lo's window
             return lo
-        pows, _, fix_sum, _ = prm._ring
+        pows, _, fix_sum, _, _, _, _ = prm._ring
         return prm._window_element(v, fix_sum((lo.unit + hi.unit * pows[off]) % pows[w]), w)
 
     def __neg__(self) -> "FieldElement":
         if self.unit is None:
             return self
-        _, negs, fix_sum, _ = self.params._ring
+        _, negs, fix_sum, _, _, _, _ = self.params._ring
         return FieldElement(self.params, self.ord, fix_sum(negs[self.rel] - self.unit), self.rel)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
@@ -377,7 +377,7 @@ class FieldElement:
                 return prm._zero
             return FieldElement(prm, self.ord + other.ord, None, 0)
         rel = min(self.rel, other.rel)
-        pows, _, _, fix_prod = prm._ring
+        pows, _, _, fix_prod, _, _, _ = prm._ring
         return FieldElement(prm, self.ord + other.ord, fix_prod(self.unit * other.unit % pows[rel]), rel)
 
     def inverse(self) -> "FieldElement":
@@ -385,14 +385,7 @@ class FieldElement:
             raise DivisionByZero("cannot invert 0")
         if self.is_vanishing():
             raise PrecisionExhausted("cannot invert a value not distinguishable from 0", guaranteed_ord=self.ord)
-        prm, rel = self.params, self.rel
-        if prm.family == "padic":
-            return FieldElement(prm, -self.ord, pow(self.unit, -1, prm._ring[0][rel]), rel)
-        p, u, pows = prm.p, self.unit, prm._ring[0]
-        out = inv0 = pow(u % pows[1], p - 2, p)
-        for k in range(1, rel):  # digit k of out: -inv0 * (slot k of u * out, digits below k)
-            out += -inv0 * (u * out // pows[k] % pows[1]) % p * pows[k]
-        return FieldElement(prm, -self.ord, out, rel)
+        return FieldElement(self.params, -self.ord, self.params._ring[4](self.unit, self.rel), self.rel)  # invert
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -459,6 +452,22 @@ def _reduce_slots(p: int, b: int, ones: int, lifts: tuple, s: int) -> int:
     for j in reversed(range(len(lifts))):  # each slot below p 2^(j+1): take p 2^j off where it fits
         s -= ((s + lifts[j]) >> b - 1 & ones) * (p << j)
     return s
+
+
+def _invert_mod(pows: tuple, u: int, rel: int) -> int:
+    return pow(u, -1, pows[rel])  # the Q_p unit inverse mod p^rel
+
+
+def _invert_slots(p: int, pows: tuple, u: int, rel: int) -> int:
+    """The inverse of the F_p((t)) unit u mod t^rel, digit by digit."""
+    out = inv0 = pow(u % pows[1], p - 2, p)
+    for k in range(1, rel):  # digit k of out: -inv0 * (slot k of u * out, digits below k)
+        out += -inv0 * (u * out // pows[k] % pows[1]) % p * pows[k]
+    return out
+
+
+def _slots_of(p: int, count: int, slot: tuple[str | None, int], n: int) -> int:
+    return _to_slots(_base_digits(n, p, count), slot)  # the lowest count base-p digits of n, one per slot
 
 
 def _slot_layout(bound: int) -> tuple[str | None, int]:

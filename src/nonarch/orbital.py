@@ -145,12 +145,12 @@ def _check_window(field: FieldParams, K: int):
 
 def _pair_data(field: FieldParams, D, A):
     """For each (i, j) with m_ij = -ord(a_i x_j) >= 1, the depth m_ij and the
-    unit part of a_i x_j; plus the overall window K.  Raises
+    unit of a_i x_j mod pi^m_ij as the field stores it; plus the window K.  Raises
     InsufficientPrecision, as chi does, when a_i x_j stores fewer than m_ij
     digits.  Entries of D of equal value share one product a_i x_j."""
     first = {}  # the value of an x (cheaper to hash than the element) -> its first position
     twin = [first.setdefault((x.ord, x.rel, x.unit), j) for j, x in enumerate(D)]
-    pairs, K = [], 0
+    pairs, K, pows = [], 0, field._ring[0]
     for i, a in enumerate(A):
         cells = [None] * len(D)  # (m, unit) of a x_j, None where a x_j lies in O_F
         for j, x in enumerate(D):
@@ -163,8 +163,7 @@ def _pair_data(field: FieldParams, D, A):
                 m = -prod.ord
                 if prod.rel < m:
                     raise InsufficientPrecision(f"argument product stores {prod.rel} digits; chi needs {m}")
-                unit = prod.unit % field.p**m if field.family == "padic" else _base_digits(prod.unit, field._ring[0][1], m)
-                cell = cells[j] = m, unit
+                cell = cells[j] = m, prod.unit % pows[m]
                 K = max(K, m)
             if cell:
                 pairs.append((i, j) + cell)
@@ -227,17 +226,17 @@ def _cell_weights(field: FieldParams, pair_lists, K: int):
     and int64 weights W of shape tail + (cells, lists): list l has the
     phase integer sum_c s_c . W[.., c, l] mod M at cell values s_c mod pi^K.
     Over Q_p, M = p^K and W = unit * p^(K-m); over F_p((t)), M = p and
-    W[s] = unit[m-1-s] (s < m) reads the t^-1 coefficient."""
+    W[s] = digit m-1-s of the unit (s < m) reads the t^-1 coefficient."""
     cells = {}  # cell (i, j) -> its index, in order of first appearance
     for pairs in pair_lists:
         for i, j, _, _ in pairs:
             cells.setdefault((i, j), len(cells))
-    M, tail = _entry_shape(field, K)
+    (M, tail), D = _entry_shape(field, K), field._ring[0][1]
     W = np.zeros(tail + (len(cells), len(pair_lists)), dtype=np.int64)
     for l, pairs in enumerate(pair_lists):
         at = [cells[i, j] for i, j, _, _ in pairs]
         if tail:
-            W[:, at, l] = np.array([unit[::-1] + (0,) * (K - m) for _, _, m, unit in pairs]).T
+            W[:, at, l] = np.array([_base_digits(unit, D, m)[::-1] + (0,) * (K - m) for _, _, m, unit in pairs]).T
         else:
             W[at, l] = [unit * field.p ** (K - m) % M for _, _, m, unit in pairs]
     I, J = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
@@ -482,10 +481,7 @@ def _cell_tables(field: FieldParams, kind: str, pairs) -> np.ndarray:
     q, f = field.q, 2 if kind == KIND_TWO_SIDED else 1
     if f == 1 and field.is_dyadic:
         return _lift_tables(field, pairs, max(m for _, _, m, _ in pairs), 1)
-    # the unit's lowest digit: the integer mod p over Q_p, the first stored
-    # digit over F_p((t))
-    padic = field.family == "padic"
-    lowest = np.array([unit if padic else unit[0] for _, _, _, unit in pairs]) % q
+    lowest = np.array([unit % field._ring[0][1] for _, _, _, unit in pairs])  # each unit's lowest digit
     tables = _phases(np.multiply.outer(lowest, _residue_grid(q, f)) % q, q)
     for table, (_, _, m, _) in zip(tables, pairs):
         if m > 1:

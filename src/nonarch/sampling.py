@@ -134,7 +134,7 @@ def _uniform_window(field: FieldParams, rng: RandomStream, K: int, size: tuple =
 def _element(field: FieldParams, v) -> FieldElement:
     """One drawn entry mod pi^precision (an integer over Q_p, its digits over
     F_p((t))) as the element it expands to; the all-zero window is the exact zero."""
-    s = int(v) if field.family == "padic" else _to_slots(list(v), field._slot)
+    s = _to_slots(list(v), field._slot) if _entry_shape(field, field.precision)[1] else int(v)
     if s == 0:
         return field.zero()
     pows = field._ring[0]

@@ -16,7 +16,7 @@ from nonarch.characters import (
     theta_closed,
 )
 from nonarch.errors import DyadicField, InsufficientPrecision, TooLarge
-from nonarch.field import FieldParams
+from nonarch.field import FieldElement, FieldParams
 from nonarch.orbital import theta_bruteforce
 from nonarch.sampling import RandomStream, uniform_integer
 
@@ -101,6 +101,18 @@ def test_square_kernel_closed_values(q3):
     assert theta_closed(q3.uniformizer_pow(-1), KIND_SQUARE) == CharValue("+i", 1)
     eps = q3.eps()
     assert theta_closed(eps.shift(-1), KIND_SQUARE) == CharValue("-i", 1)
+
+
+@pytest.mark.parametrize("kind", [KIND_BILINEAR, KIND_SQUARE])
+def test_kernels_of_vanishing_arguments(q3, l3, kind):
+    # O(pi^g) with g >= 0 lies in O_F, where both kernels are 1; below O_F
+    # the kernel depends on digits no vanishing value knows
+    for field in (q3, l3):
+        for g in (0, 1, 5):
+            assert theta_closed(FieldElement(field, g, None, 0), kind) == CharValue.one()
+        for g in (-1, -4):
+            with pytest.raises(InsufficientPrecision):
+                theta_closed(FieldElement(field, g, None, 0), kind)
 
 
 def test_square_kernel_dyadic_guard():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nonarch import verification
 from nonarch.cli import main
 from nonarch.matrices import MatF
 
@@ -242,6 +243,15 @@ def test_verify_fails_cleanly_on_any_field(family, p, prec, seed):
     assert main([*argv, "--out", os.devnull]) in (0, 2)
 
 
+def test_verify_without_suite_names_runs_every_suite(capsys, tmp_path):
+    options = ("--samples", "100", "--trials", "1")
+    default, named = tmp_path / "default.json", tmp_path / "named.json"
+    code = run(capsys, "verify", *options, "--out", str(default))[0]
+    assert len(verification.SUITE_BUILDERS) == 7
+    assert run(capsys, "verify", *verification.SUITE_BUILDERS, *options, "--out", str(named))[0] == code
+    assert default.read_bytes() == named.read_bytes()
+
+
 def test_verify_csv_format(capsys, tmp_path):
     out_file = tmp_path / "report.csv"
     code, _, _ = run(capsys, "verify", "semigroup", "--seed", "3", "--format", "csv", "--out", str(out_file))
@@ -352,6 +362,29 @@ def test_malformed_element_payload_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "InvalidParam" in err
+
+
+ONE = '{"rows": 1, "cols": 1, "entries": [{"ord": 0, "digits": [1]}]}'
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("snf", "--matrix", ONE), "--matrix"),
+        (("charfun", "--param", DELTA, "--args", "[0, -2]"), "--param"),
+        (("charfun", "--param", OMEGA, "--args", '[{"ord": -1, "digits": [1]}]'), "--args"),
+    ],
+)
+def test_json_arguments_read_from_a_file(capsys, tmp_path, argv, option):
+    at = argv.index(option) + 1
+    path = tmp_path / "arg.json"
+    path.write_text(argv[at], encoding="utf-8")
+    inline = run(capsys, *argv)
+    assert inline[0] == 0
+    assert run(capsys, *argv[:at], f"@{path}", *argv[at + 1 :]) == inline
+    code, out, err = run(capsys, *argv[:at], f"@{tmp_path / 'missing.json'}", *argv[at + 1 :])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_charfun_probe_beyond_the_precision_names_the_characters_error(capsys):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonarch.errors import TooLarge
-from nonarch.field import FieldParams, _is_prime
+from nonarch.field import FieldElement, FieldParams, _is_prime
 from nonarch.matrices import MatF
 from nonarch.orbital import (
     _PHASE_TABLE,
@@ -66,9 +66,10 @@ def ref_trace_form(field, pairs, K, g1, g2):
             V.append(g2[:, i, j])
         return np.stack(U, axis=1), np.stack(V, axis=1), M
     for i, j, m, unit in pairs:
+        digits = FieldElement(field, 0, unit, m).digits
         for beta in range(m):
             U.append(g1[:, i, j, beta])
-            V.append(g2[:, i, j, : m - beta] @ np.array(unit[m - beta - 1 :: -1]) % p)
+            V.append(g2[:, i, j, : m - beta] @ np.array(digits[m - beta - 1 :: -1]) % p)
     return np.stack(U, axis=1), np.stack(V, axis=1), p
 
 
@@ -80,7 +81,8 @@ def ref_pair_data(field, D, A):
             prod = a * x
             if not prod.is_zero() and prod.ord < 0:
                 m = -prod.ord
-                pairs.append((i, j, m, prod.unit % field.p**m if field.family == "padic" else prod.digits[:m]))
+                unit = prod.unit % field.p**m if field.family == "padic" else field.element(0, prod.digits[:m]).unit
+                pairs.append((i, j, m, unit))
     return pairs
 
 
@@ -277,6 +279,7 @@ def kernel_cases(draw):
             else:
                 digits = st.integers(1, p - 1), st.integers(0, p - 1)
                 unit = (p - 1,) * m if extreme else (draw(digits[0]),) + tuple(draw(digits[1]) for _ in range(m - 1))
+                unit = field.element(0, unit).unit
             pairs.append((i, j, m, unit))
         pair_lists.append(pairs)
     count = draw(st.integers(1, 12))
@@ -315,7 +318,7 @@ def test_paired_phases_at_wide_windows(family, p, K):
     if family == "padic":
         units = [u for u in range(base - 20, base) if u % p][-8:]
     else:
-        units = [tuple(int(d) for d in rng.integers(1, p, size=K)) for _ in range(8)]
+        units = [field.element(0, rng.integers(1, p, size=K)).unit for _ in range(8)]
     pairs = [(i, j, K, units[4 * i + j]) for i in range(2) for j in range(4)]
     # g1 = -1 and g2 small make the cell products mod M nearly M
     g1, g2 = np.full((50, 2, 4) + tail, base - 1), rng.integers(1, base // 10, size=(50, 2, 4) + tail)
@@ -348,8 +351,8 @@ def test_narrow_rows_and_phases_match_references(p, K, dtype):
         assert rows.dtype == dtype
         assert np.array_equal(rows, ref_haar_rows(ScriptedStream(first, seed), field, n, r, K, count))
         draws.append(rows)
-    top = (p - 1,) * K
-    pair_lists = [[(i, j, K, top) for i in range(r) for j in range(n)], [(1, 2, 1, (1,)), (0, 0, K, top)]]
+    top = field.element(0, [p - 1] * K).unit
+    pair_lists = [[(i, j, K, top) for i in range(r) for j in range(n)], [(1, 2, 1, 1), (0, 0, K, top)]]
     I, J, W = _cell_weights(field, pair_lists, K)
     g1, g2 = draws
     for a, b in ((g1, g2), (g1, g1)):

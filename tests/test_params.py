@@ -279,3 +279,12 @@ def test_omega_probe_grid_separates(q3):
             continue
         assert separate_omega(a, b, q3) is not None
         done += 1
+
+
+def test_separate_omega_is_none_past_the_probe_grid(q3):
+    # with no kernel factors each characteristic function is the indicator
+    # of pi^k O_F; the two differ only at ord x = 10, and the grid's
+    # arguments have ord -6..4, where both vanish
+    a, b = OmegaParam(10, (), ()), OmegaParam(11, (), ())
+    assert all(a.char_single(x).is_zero() and b.char_single(x).is_zero() for x in probe_grid(q3))
+    assert separate_omega(a, b, q3) is None
