@@ -21,6 +21,11 @@ Kronecker slot per digit, wide enough that no coefficient sum of a product
 carries.  Sums, negations, products, inverses and integer imports of units
 are the operations of ``FieldParams._ring``, cached per field with ``zero()``,
 ``one()`` and the residue square roots; over F_p((t)) slots reduce mod p.
+A sum of products start + x_0 y_0 + ... (a matrix entry, an elimination
+update) is one call of ``_mac``.  Its window, the least ord + rel of its
+terms, does not depend on the order the terms are added in, so ``_mac``
+adds the shifted unit products in one pass and builds one element where
+the left fold of ``*`` and ``+`` builds two per term.
 
 All values are immutable and hashable; operations are pure functions.
 """
@@ -145,6 +150,9 @@ class FieldParams:
         if self.precision < 1:
             raise InvalidParam("precision must be >= 1")
 
+    def __reduce__(self):  # pickle and copy the three fields, not the cached constants
+        return type(self), (self.family, self.p, self.precision)
+
     # -- basic facts ------------------------------------------------------
     @property
     def q(self) -> int:
@@ -214,7 +222,7 @@ class FieldParams:
 
     def uniformizer_pow(self, k: int) -> "FieldElement":
         """pi^k, exact to the full window."""
-        return FieldElement(self, k, self._one.unit, self.precision)
+        return _element(self, k, self._one.unit, self.precision)
 
     def from_int(self, n: int) -> "FieldElement":
         """The image of the rational integer n.  Exact in Q_p; reduced mod p
@@ -228,7 +236,7 @@ class FieldParams:
         if n == 0:
             return self._zero
         v = _vp(n, self.p)
-        return FieldElement(self, ord + v, self._ring[5](n // self.p**v % self.p**self.precision), self.precision)
+        return _element(self, ord + v, self._ring[5](n // self.p**v % self.p**self.precision), self.precision)
 
     def element(self, ord: int, digits) -> "FieldElement":
         """Element pi^ord * (d_0 + d_1 pi + ...) from an explicit digit list,
@@ -239,10 +247,10 @@ class FieldParams:
         """pi^ord * s for a unit integer s of w digits, its low zero digits
         moved into the valuation; O(pi^(ord + w)) when s = 0."""
         if s == 0:
-            return FieldElement(self, ord + w, None, 0)
+            return _element(self, ord + w, None, 0)
         pows = self._ring[0]
         t = _vp(s, pows[1])
-        return FieldElement(self, ord + t, s // pows[t], w - t)
+        return _element(self, ord + t, s // pows[t], w - t)
 
     def eps(self) -> "FieldElement":
         """The fixed nonsquare unit: lift of the smallest nonsquare residue."""
@@ -316,11 +324,7 @@ class FieldElement:
         if new_abs >= self.abs_prec:
             return self
         rel = new_abs - self.ord
-        return FieldElement(self.params, self.ord, self.unit % self.params._ring[0][rel], rel)
-
-    def _check_same(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement) or (other.params is not self.params and other.params != self.params):
-            raise TypeError("operands must share FieldParams")
+        return _element(self.params, self.ord, self.unit % self.params._ring[0][rel], rel)
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
@@ -339,22 +343,25 @@ class FieldElement:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check_same(other)
         prm = self.params
+        if not isinstance(other, FieldElement) or (other.params is not prm and other.params != prm):
+            raise TypeError("operands must share FieldParams")
         if self.unit is None or other.unit is None:  # zero or vanishing operand
             if self.ord == ORD_INF:
                 return other
             if other.ord == ORD_INF:
                 return self
             if self.unit is None and other.unit is None:
-                return FieldElement(prm, min(self.ord, other.ord), None, 0)
+                return _element(prm, self.ord if self.ord < other.ord else other.ord, None, 0)
             hidden, visible = (self, other) if self.unit is None else (other, self)
             if visible.ord >= hidden.ord:
-                return FieldElement(prm, hidden.ord, None, 0)
+                return _element(prm, hidden.ord, None, 0)
             return visible._truncate_abs(hidden.ord)
         lo, hi = (self, other) if self.ord <= other.ord else (other, self)
         v, off = lo.ord, hi.ord - lo.ord
-        w = min(lo.rel, off + hi.rel)  # known digits of the sum above pi^v
+        w = off + hi.rel  # known digits of the sum above pi^v
+        if lo.rel < w:
+            w = lo.rel
         if off >= w:  # then w = lo.rel: hi lies wholly below lo's window
             return lo
         pows, _, fix_sum, _, _, _, _ = prm._ring
@@ -363,29 +370,31 @@ class FieldElement:
     def __neg__(self) -> "FieldElement":
         if self.unit is None:
             return self
-        _, negs, fix_sum, _, _, _, _ = self.params._ring
-        return FieldElement(self.params, self.ord, fix_sum(negs[self.rel] - self.unit), self.rel)
+        prm = self.params
+        _, negs, fix_sum, _, _, _, _ = prm._ring
+        return _element(prm, self.ord, fix_sum(negs[self.rel] - self.unit), self.rel)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check_same(other)
         prm = self.params
+        if not isinstance(other, FieldElement) or (other.params is not prm and other.params != prm):
+            raise TypeError("operands must share FieldParams")
         if self.unit is None or other.unit is None:  # zero or vanishing operand
             if self.ord == ORD_INF or other.ord == ORD_INF:
                 return prm._zero
-            return FieldElement(prm, self.ord + other.ord, None, 0)
-        rel = min(self.rel, other.rel)
+            return _element(prm, self.ord + other.ord, None, 0)
+        rel = self.rel if self.rel < other.rel else other.rel
         pows, _, _, fix_prod, _, _, _ = prm._ring
-        return FieldElement(prm, self.ord + other.ord, fix_prod(self.unit * other.unit % pows[rel]), rel)
+        return _element(prm, self.ord + other.ord, fix_prod(self.unit * other.unit % pows[rel]), rel)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("cannot invert 0")
         if self.is_vanishing():
             raise PrecisionExhausted("cannot invert a value not distinguishable from 0", guaranteed_ord=self.ord)
-        return FieldElement(self.params, -self.ord, self.params._ring[4](self.unit, self.rel), self.rel)  # invert
+        return _element(self.params, -self.ord, self.params._ring[4](self.unit, self.rel), self.rel)  # invert
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -394,7 +403,7 @@ class FieldElement:
         """Multiply by pi^k (exact)."""
         if self.is_zero():
             return self
-        return FieldElement(self.params, self.ord + k, self.unit, self.rel)
+        return _element(self.params, self.ord + k, self.unit, self.rel)
 
     # -- comparisons at available precision ---------------------------------
     def agrees(self, other: "FieldElement") -> bool:
@@ -445,6 +454,74 @@ class FieldElement:
 
 
 _set_params, _set_ord, _set_unit, _set_rel = (getattr(FieldElement, n).__set__ for n in FieldElement.__slots__)
+
+
+class _Draft(FieldElement):
+    """A FieldElement while :func:`_element` fills it: the same slots, plain
+    attribute stores."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+
+
+_new = object.__new__
+
+
+def _element(params: FieldParams, ord, unit, rel: int) -> FieldElement:
+    """FieldElement(params, ord, unit, rel) without type.__call__ and
+    __init__: the one way the arithmetic builds its results."""
+    x = _new(_Draft)
+    x.params = params
+    x.ord = ord
+    x.unit = unit
+    x.rel = rel
+    x.__class__ = FieldElement
+    return x
+
+
+def _mac(start: FieldElement, xs, ys) -> FieldElement:
+    """start + xs[0] * ys[0] + xs[1] * ys[1] + ... over start's field: exactly
+    the element the left fold of ``*`` and ``+`` returns, built once.
+
+    A fold's result is known modulo pi^A for the least absolute precision A
+    of its terms, whatever their order, and is then the canonical window of
+    their visible sum mod pi^A.  Exact zeros drop out; a vanishing O(pi^g)
+    term contributes g to A.  When no visible term lies below pi^A the value
+    is O(pi^A); otherwise the ring-reduced unit products, shifted to the
+    least valuation v, are summed once and cut to the A - v digits above v."""
+    prm, so, su = start.params, start.ord, start.unit
+    top = so + start.rel  # A: rel is 0 for zero and vanishing values
+    v = ORD_INF  # the least valuation of the visible products
+    for x, y in zip(xs, ys):
+        o = x.ord + y.ord
+        if x.unit is None or y.unit is None:  # O(pi^o); o = inf for an exact zero
+            if o < top:
+                top = o
+        else:
+            if o < v:
+                v = o
+            o += x.rel if x.rel < y.rel else y.rel
+            if o < top:
+                top = o
+    if v >= top:  # no visible product below pi^A: start alone, or nothing
+        if su is None or so >= top:
+            return prm._zero if top == ORD_INF else _element(prm, top, None, 0)
+        return start if top == so + start.rel else start._truncate_abs(top)
+    pows, _, fix_sum, fix_prod, _, _, _ = prm._ring
+    s = 0
+    if su is not None and so < top:
+        if so < v:
+            v = so
+        s = su * pows[so - v]  # its digits past A go with the final cut
+    for x, y in zip(xs, ys):
+        o = x.ord + y.ord
+        if o < top:  # visible: a zero or vanishing product has o >= A
+            t = fix_prod(x.unit * y.unit % pows[top - o]) * pows[o - v]
+            s = fix_sum(s + t) if s else t
+    s %= pows[top - v]
+    if s % pows[1]:  # a nonzero digit at pi^v: already the canonical window
+        return _element(prm, v, s, top - v)
+    return prm._window_element(v, s, top - v)
 
 
 def _reduce_slots(p: int, b: int, ones: int, lifts: tuple, s: int) -> int:
@@ -553,7 +630,7 @@ def hensel_sqrt(x: FieldElement) -> FieldElement | None:
     inv = pow(2 * root, -1, p)
     for k in range(1, rel):  # digit k of root * root, root correct below pi^k
         root += (u // pows[k] % pows[1] - root * root // pows[k] % pows[1]) * inv % p * pows[k]
-    return FieldElement(prm, x.ord // 2, root, rel)
+    return _element(prm, x.ord // 2, root, rel)
 
 
 def square_class(x: FieldElement) -> tuple[FieldElement, FieldElement]:

@@ -14,8 +14,17 @@ the block, so the bound spreads, but leaves the witnesses alone, where it
 stands for 0.  Elimination stops when no entry qualifies; the remaining
 block then lies in pi^g O_F.
 
+Every entry of a product and every update x + f*y of the elimination is
+one call of the multiply-accumulate kernel ``field._mac``, which returns
+the element the left fold of ``*`` and ``+`` would, built once: the sum is
+known modulo pi^A for the least ord + rel of its terms (g for a term
+O(pi^g); exact zeros drop out), and is O(pi^A) when no visible term lies
+below pi^A.  The fold's order does not change that window.
+
 * ``smith_normal_form`` reports each exponent of that block as the
-  certified bound ``AtMost(-g)`` in ``sing``;
+  certified bound ``AtMost(-g)`` in ``sing``, and lists as ``unresolved``
+  the O(pi^g) entries outside it that no witness carries, so that
+  ``recompose`` certifies only what the moves did;
 * ``MatF.det`` is the signed product of the pivots, a vanishing O(pi^h)
   when a block is left;
 * ``sym_diagonalize`` cannot report a bound yet: it takes the block as zero
@@ -37,7 +46,7 @@ from .errors import (
     NotSymmetric,
     PrecisionExhausted,
 )
-from .field import FieldElement, FieldParams, ORD_INF, hensel_sqrt, square_class, square_class_label
+from .field import FieldElement, FieldParams, ORD_INF, _mac, hensel_sqrt, square_class, square_class_label
 from .residue import _det_mod, legendre
 
 NEG_INF = -math.inf
@@ -121,14 +130,8 @@ class MatF:
     def __matmul__(self, other: "MatF") -> "MatF":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = self.params.zero()
-                for k in range(self.cols):
-                    acc += ri[k] * other[k, j]
-                out.append(acc)
+        zero, cols = self.params.zero(), list(zip(*other.to_lists()))
+        out = [_mac(zero, self.row(i), col) for i in range(self.rows) for col in cols]
         return MatF(self.params, self.rows, other.cols, out)
 
     def scale(self, c: FieldElement) -> "MatF":
@@ -151,7 +154,7 @@ class MatF:
         O(pi^(m*g))."""
         if self.rows != self.cols:
             raise DimensionMismatch("det needs a square matrix")
-        pivots, sign, bound, _, _ = _smith(self)
+        pivots, sign, bound, _, _, _ = _smith(self)
         acc = self.params.one()
         for pivot in pivots:
             acc = acc * pivot
@@ -220,9 +223,13 @@ def _pivot(w, k: int, n: int):
 
 
 def _add_column(m, dst: int, src: int, f: FieldElement, n: int):
-    """m <- m (I + f e_{src,dst}): column dst gains f times column src."""
+    """m <- m (I + f e_{src,dst}): column dst gains f times column src
+    (rows where it is exactly zero are left as they are)."""
+    fs = (f,)
     for r in range(n):
-        m[r][dst] += f * m[r][src]
+        y = m[r][src]
+        if y.ord != ORD_INF:
+            m[r][dst] = _mac(m[r][dst], fs, (y,))
 
 
 def _swap_columns(m, i: int, j: int, n: int):
@@ -232,19 +239,24 @@ def _swap_columns(m, i: int, j: int, n: int):
 
 def _clear_column(w, wit, k: int, n: int) -> FieldElement:
     """Clear the column under the pivot w[k][k]: row i of the block loses
-    f_i = w[i][k] / w[k][k], which lies in O_F, times row k, and column k of
-    the witness gains f_i times column i unless f_i is vanishing, where it
-    stands for 0.  Returns the pivot's inverse."""
+    f_i = w[i][k] / w[k][k], which lies in O_F, times row k (it gains -f_i
+    times row k, the same canonical window), and column k of the witness
+    gains f_i times column i.  A vanishing f_i stands for 0 in the witness,
+    so w[i][k] keeps its O(pi^g), the one part of the move the witness does
+    not carry.  Returns the pivot's inverse."""
     inv = w[k][k].inverse()
     zero = inv.params.zero()
+    pivot_row = [(j, (y,)) for j, y in enumerate(w[k]) if j > k and y.ord != ORD_INF]  # the entries that move a row
     for i in range(k + 1, n):
-        if w[i][k].is_zero():
+        row = w[i]
+        if row[k].is_zero():
             continue
-        f = w[i][k] * inv
-        w[i][k] = zero
-        for j in range(k + 1, n):
-            w[i][j] -= f * w[k][j]
+        f = row[k] * inv
+        fs = (-f,)
+        for j, ys in pivot_row:
+            row[j] = _mac(row[j], fs, ys)
         if f.unit is not None:
+            row[k] = zero
             _add_column(wit, k, i, f, n)
     return inv
 
@@ -274,11 +286,16 @@ class SNFResult:
     """A = a * diag(pi^-k_1, ..., pi^-k_n) * b with a, b in GL(n, O_F) and the
     non-increasing singular exponents ``sing`` (k_i = -inf encodes a zero; a
     tail the precision cannot resolve is reported as AtMost(k), and its
-    diagonal entries are O(pi^-k))."""
+    diagonal entries are O(pi^-k)).  Where the elimination could not resolve
+    a move, the witnesses hold the diagonal only up to O(pi^g) terms: the
+    tail is some block in pi^-k M(O_F), and ``unresolved`` lists each
+    off-diagonal (i, j, g) left as O(pi^g); ``recompose`` multiplies out that
+    middle matrix."""
 
     a: MatF
     sing: tuple
     b: MatF
+    unresolved: tuple = ()
 
     def diagonal(self) -> MatF:
         params = self.a.params
@@ -291,16 +308,24 @@ class SNFResult:
         return MatF.diagonal(params, diag)
 
     def recompose(self) -> MatF:
-        return self.a @ self.diagonal() @ self.b
+        params, middle = self.a.params, self.diagonal().to_lists()
+        tail = [i for i, k in enumerate(self.sing) if isinstance(k, AtMost)]
+        for i in tail:
+            for j in tail:
+                middle[i][j] = middle[i][i]
+        for i, j, g in self.unresolved:
+            middle[i][j] = FieldElement(params, g, None, 0)
+        return self.a @ MatF.from_rows(params, middle) @ self.b
 
 
 def _smith(A: MatF):
     """Two-sided elimination of A on the one rule: move the pivot to the
     corner and clear its column and row with multipliers in O_F, then
     recurse.  Returns the pivots, the sign of the row and column swaps, the
-    certified g of the unresolved block (ORD_INF when none is left) and the
+    certified g of the unresolved block (ORD_INF when none is left), the
     witnesses a and b^t as row lists (b transposed, so that its row moves
-    are column moves): a * W * b agrees with A for the working W throughout."""
+    are column moves) and the working W: a * W * b agrees with A throughout,
+    the visible entries right of a pivot counting as 0 once b^t carries them."""
     params, n = A.params, A.rows
     w = A.to_lists()
     a = MatF.identity(params, n).to_lists()
@@ -327,7 +352,7 @@ def _smith(A: MatF):
             _add_column(bt, k, j, w[k][j] * inv, n)
     else:
         bound = ORD_INF
-    return pivots, sign, bound, a, bt
+    return pivots, sign, bound, a, bt, w
 
 
 def smith_normal_form(A: MatF) -> SNFResult:
@@ -336,14 +361,23 @@ def smith_normal_form(A: MatF) -> SNFResult:
     if A.rows != A.cols:
         raise DimensionMismatch("square matrices only")
     params, n = A.params, A.rows
-    pivots, _, bound, a, bt = _smith(A)
+    pivots, _, bound, a, bt, w = _smith(A)
     for k, pivot in enumerate(pivots):
         unit = pivot.shift(-pivot.ord)
         for r in range(n):
             a[r][k] = a[r][k] * unit
+    m = len(pivots)
     tail = NEG_INF if bound == ORD_INF else AtMost(-bound)
-    sing = tuple(-pivot.ord for pivot in pivots) + (tail,) * (n - len(pivots))
-    return SNFResult(MatF.from_rows(params, a), sing, MatF.from_rows(params, zip(*bt)))
+    sing = tuple(-pivot.ord for pivot in pivots) + (tail,) * (n - m)
+    # vanishing off-diagonal entries of W outside the tail block: the moves
+    # that a vanishing multiplier or pivot-row entry left to no witness
+    unresolved = tuple(
+        (i, j, e.ord)
+        for i, row in enumerate(w)
+        for j, e in enumerate(row)
+        if e.unit is None and e.ord != ORD_INF and i != j and min(i, j) < m
+    )
+    return SNFResult(MatF.from_rows(params, a), sing, MatF.from_rows(params, zip(*bt)), unresolved)
 
 
 def singular_numbers(A: MatF) -> tuple:
@@ -428,8 +462,9 @@ def sym_diagonalize(A: MatF) -> SymDiagResult:
             w[k], w[di] = w[di], w[k]
             _swap_columns(w, k, di, n)
             _swap_columns(g, k, di, n)
-        # Schur step: the row pass leaves the column zero, so the column pass
-        # is a no-op on the block; row k right of the pivot is never read again
+        # Schur step: the row pass clears the column (to 0, or to an O(pi^g)
+        # that no later block reads), so the column pass is a no-op on the
+        # block; row k right of the pivot is never read again
         _clear_column(w, g, k, n)
     else:
         k = n

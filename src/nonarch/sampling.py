@@ -24,7 +24,6 @@ view of that draw, and ``orbital.measure_charfun_batch`` and
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 import threading
@@ -32,6 +31,11 @@ from functools import reduce
 from operator import or_
 
 import numpy as np
+
+try:  # the class hashlib.blake2b is bound to, without loading OpenSSL
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .errors import TooLarge
 from .field import FieldElement, FieldParams, _from_slots, _rows_to_slots, _slot_layout, _to_slots, _vp
@@ -63,7 +67,7 @@ class RandomStream:
         generator = _thread_generator()
         bits = generator.bit_generator
         if self._state is None:
-            digest = hashlib.blake2b(repr((self.seed, self.path)).encode(), digest_size=16).digest()
+            digest = blake2b(repr((self.seed, self.path)).encode(), digest_size=16).digest()
             # the state of np.random.Philox(key=np.frombuffer(digest, np.uint64)): counter 0, no bits buffered
             self._state = {
                 "bit_generator": "Philox",

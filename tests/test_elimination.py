@@ -5,6 +5,8 @@ once exhausted the precision or got wrong digits."""
 import hashlib
 import json
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from sympy import GF, ZZ, Symbol
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
+from nonarch import matrices
 from nonarch.cli import main
 from nonarch.errors import PrecisionExhausted
 from nonarch.field import FieldElement, FieldParams
@@ -234,6 +237,71 @@ def test_a_vanishing_multiplier_bounds_the_block_and_leaves_the_witness():
     assert res.sing == (0, 0)
     assert res.a[0, 0] == field.one() and res.a[1, 0].is_zero()
     assert res.recompose().agrees(A)
+
+
+# -- precision 3: vanishing multipliers and unresolved tails ---------------------------
+
+
+def near_dependent_inputs(rnd: random.Random, family: str, p: int, count: int):
+    """Exact n x n inputs (integers over Q_p, coefficient lists in t over
+    F_p((t))) with rows that equal a combination of the others up to pi^e,
+    e in 2..4: at precision 3 their elimination cancels whole windows."""
+    out = []
+    for _ in range(count):
+        n = rnd.randint(2, 5)
+        if family == "padic":
+            rows = [[rnd.randint(-p * p, p * p) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = [[[rnd.randrange(p) for _ in range(rnd.randint(0, 3))] for _ in range(n)] for _ in range(n)]
+        for t in rnd.sample(range(n), rnd.randint(1, n - 1)):
+            cs, e = [rnd.randint(-2, 2) for _ in range(n)], rnd.randint(2, 4)
+            for j in range(n):
+                entries = [(c, r[j]) for c, r in zip(cs, rows) if r is not rows[t]]
+                if family == "padic":
+                    rows[t][j] = sum(c * v for c, v in entries) + p**e * rnd.randint(-2, 2)
+                else:
+                    coeffs = [0] * (e + 1)
+                    for c, v in entries:
+                        coeffs += [0] * (len(v) - len(coeffs))
+                        for i, d in enumerate(v):
+                            coeffs[i] += c * d
+                    coeffs[e] += rnd.randint(-2, 2)
+                    rows[t][j] = [c % p for c in coeffs]
+        out.append(rows)
+    return out
+
+
+def exponent_implied(low, high) -> bool:
+    """Whether an exponent certified at low precision holds for the exponent
+    found at high precision: equal, or inside the low bound."""
+    if isinstance(low, AtMost):
+        return (high.k if isinstance(high, AtMost) else high) in low
+    return not isinstance(high, AtMost) and high == low
+
+
+@pytest.mark.parametrize("family,p", [("padic", 3), ("laurent", 3), ("padic", 5)])
+def test_precision_3_certifies_what_precision_24_finds(family, p, monkeypatch):
+    # at precision 3 whole windows cancel: blocks under a pivot turn O(pi^g),
+    # so _clear_column meets vanishing multipliers and SNF reports AtMost
+    # tails; every exponent, det digit and witness must still hold for the
+    # same exact input at precision 24
+    low, high = FieldParams(family, p, 3), FieldParams(family, p, 24)
+    clear_column, seen = matrices._clear_column, Counter()
+
+    def counting_clear_column(w, wit, k, n):
+        seen["vanishing multiplier"] += sum(w[i][k].is_vanishing() for i in range(k + 1, n))
+        return clear_column(w, wit, k, n)
+
+    monkeypatch.setattr(matrices, "_clear_column", counting_clear_column)
+    for rows in near_dependent_inputs(random.Random(46), family, p, 400):
+        A, exact = lift(low, rows), lift(high, rows)
+        res, ref = smith_normal_form(A), smith_normal_form(exact)
+        seen["tail"] += any(isinstance(k, AtMost) for k in res.sing)
+        assert all(map(exponent_implied, res.sing, ref.sing)), (rows, res.sing, ref.sing)
+        assert res.a.is_gl() and res.b.is_gl()
+        assert res.recompose().agrees(A)
+        assert A.det().agrees(FieldElement.from_json(low, exact.det().to_json())), rows
+    assert seen["vanishing multiplier"] > 0 and seen["tail"] > 0, seen
 
 
 def test_snf_cli_prints_a_bound(capsys):

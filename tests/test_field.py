@@ -285,13 +285,15 @@ def test_elements_are_immutable(q3):
 @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["deepcopy", "pickle"])
 def test_values_survive_pickle_and_deepcopy(copy_of):
     # immutable values rebuild through their constructors; a FieldParams
-    # carries its cached zero, one and ring, which hold elements of itself
+    # rebuilds from its three fields and computes its cached zero, one and
+    # ring afresh, so a copy carries none of them
     values = []
     for spec in ("padic:p=3,prec=12", "laurent:p=3,prec=12", "laurent:p=4294967311,prec=12"):
         f = parse_field_spec(spec)
         x = f.element(-2, [1, 2, 0, f.p - 1])
         elements = [f.zero(), FieldElement(f, 5, None, 0), x, f.one(), x * x]
         values += [*elements, f, MatF.from_rows(f, [elements[:2], elements[2:4]])]
+    assert len(pickle.dumps(x * x + x)) < 300  # F_4294967311((t)), its ring built by the arithmetic
     for v in values:
         w = copy_of(v)
         assert w == v

@@ -74,17 +74,23 @@ def test_canonical_root_matches_sympy(p, data):
     assert _canonical_residue_sqrt(FieldParams("padic", p, 2), a) == min(r, p - r)
 
 
-def test_library_imports_without_sympy():
+def _after_import(expr: str) -> str:
+    """What a fresh interpreter that has imported the library prints for expr."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = (
-        "import sys, nonarch, nonarch.cli, nonarch.verification; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", f"import sys, nonarch, nonarch.cli, nonarch.verification; print({expr})"],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_library_imports_without_sympy():
+    assert _after_import("sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')") == "[]"
+
+
+def test_library_imports_without_openssl():
+    # the stream keys take blake2b from _blake2: hashlib would load libcrypto through _hashlib
+    assert _after_import("'_hashlib' in sys.modules") == "False"
